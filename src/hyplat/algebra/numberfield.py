@@ -357,13 +357,18 @@ def approx_at_embedding(
 
 
 def multiplication_matrix(a: FieldElement) -> list[list[Fraction]]:
-    """Matrix of y -> a*y over the power basis (columns = images of t^i)."""
-    K = a.field
-    d = K.degree
-    cols = []
-    for i in range(d):
-        basis_vec = K.element([0] * i + [1])
-        cols.append((a * basis_vec).coords)
+    """Matrix of y -> a*y over the power basis (columns = images of t^i).
+
+    Column i+1 is t times column i: shift the coordinates up one degree and
+    reduce t^d by the monic defining polynomial.
+    """
+    f = a.field.poly
+    d = a.field.degree
+    cols = [list(a.coords)]
+    for _ in range(d - 1):
+        prev = cols[-1]
+        top = prev[-1]
+        cols.append([-top * f[0]] + [prev[k - 1] - top * f[k] for k in range(1, d)])
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
@@ -372,7 +377,9 @@ def is_algebraic_integer(a: FieldElement) -> bool:
 
     The characteristic polynomial of the multiplication-by-a matrix is a
     power of a's minimal polynomial; it has integer coefficients exactly when
-    the minimal polynomial does.
+    the minimal polynomial does.  It is computed over the integers: with m
+    the common denominator of the matrix A, B = m*A is integral and the
+    coefficient of x^(d-k) is c_k(B) / m^k (see `charpoly_rational`).
     """
     cp = P.charpoly_rational(multiplication_matrix(a))
     return all(c.denominator == 1 for c in cp)

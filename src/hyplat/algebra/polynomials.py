@@ -9,6 +9,7 @@ refinement) that the number-field layer builds on.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Poly = tuple[Fraction, ...]
@@ -317,23 +318,33 @@ def _divisors(n: int) -> list[int]:
 def charpoly_rational(rows: Sequence[Sequence[Fraction]]) -> Poly:
     """Characteristic polynomial det(xI - A), ascending coefficients, monic.
 
-    Faddeev-LeVerrier over Fractions; used for integrality certificates of
-    field elements via their multiplication matrices.
+    Computed over the integers: with m the least common denominator of A,
+    B = m*A is an integer matrix and det(xI - A) = m^-n det(m x I - B), so
+    the coefficient of x^(n-k) is c_k / m^k where c_k is that of B's
+    characteristic polynomial.  Faddeev-LeVerrier on B stays integral (its
+    divisions by k are exact, since each c_k is an integer).  Used for
+    integrality certificates of field elements via their multiplication
+    matrices.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
     A = [[Fraction(v) for v in r] for r in rows]
-    M = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    m = 1
+    for r in A:
+        for v in r:
+            m = lcm(m, v.denominator)
+    B = [[int(v * m) for v in r] for r in A]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
     coeffs = [Fraction(1)]  # descending: x^n coefficient first
+    scale = 1
     for k in range(1, n + 1):
-        AM = [
-            [sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        ck = -sum(AM[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        M = [
-            [AM[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)
-        ]
+        cols = list(zip(*M))
+        AM = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in B]
+        ck = -sum(AM[i][i] for i in range(n)) // k
+        scale *= m
+        coeffs.append(Fraction(ck, scale))
+        for i in range(n):
+            AM[i][i] += ck
+        M = AM
     return poly(reversed(coeffs))

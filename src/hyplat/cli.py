@@ -42,7 +42,6 @@ from .hybrid import (
     angle_with_hypersurface,
     finiteness_verdict,
     parse_complex,
-    validate_complex,
 )
 from .linalg import Subspace
 from .linkfields import (
@@ -199,7 +198,6 @@ def _pair_payload(p, want_approx: bool) -> dict:
 def _cmd_hybrid_verify(args):
     text = _load_text(args.complex)
     cx = parse_complex(text)
-    validate_complex(cx)
     rep = finiteness_verdict(cx)
     payload = {
         "verdict": rep.verdict,

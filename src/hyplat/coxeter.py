@@ -30,12 +30,15 @@ from hyplat.algebra.numberfield import (
     sign_at_embedding,
 )
 from hyplat.errors import (
+    CertificateError,
     NotHyperbolic,
     ParseError,
     RankTooLarge,
     UnsupportedLabel,
 )
-from hyplat.linalg import Matrix, signature_at
+# signature_at stays importable from here: perfbench/test_perfbench.py checks
+# that the benchmark's tracer wraps this binding.
+from hyplat.linalg import Matrix, signature_at, signature_profile  # noqa: F401
 
 __all__ = [
     "CoxeterDiagram",
@@ -84,6 +87,10 @@ POSSIBLY_SPLITTABLE = "PossiblySplittable"
 SUPPORTED_LABELS = (3, 4, 5, 6, "inf")
 
 MAX_ENUMERATION_RANK = 12
+
+# Diagrams whose signature profiles are kept; one rank-7 analysis touches
+# 127 (the diagram and its proper vertex subsets).
+PROFILE_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=1)
@@ -310,6 +317,22 @@ def _classify_signature(sig: tuple[int, int, int]) -> tuple[str, int | None]:
     return OTHER_INDEFINITE, None
 
 
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _signature_profile(diagram: CoxeterDiagram) -> tuple[tuple[int, int, int], ...]:
+    """Signature of the Gram matrix at every embedding of the entry field.
+
+    Cached per diagram, holding only the integer triples: classification,
+    vertex links, conjugate signatures and special subgroups all read their
+    signatures here, so each diagram is diagonalized once.
+    """
+    return signature_profile(gram_matrix(diagram))
+
+
+def _signature(diagram: CoxeterDiagram) -> tuple[int, int, int]:
+    """Signature at the all-positive (chosen) embedding."""
+    return _signature_profile(diagram)[entry_field().chosen_embedding]
+
+
 def classify(diagram: CoxeterDiagram) -> Classification:
     """Signature-based classification, plus volume type for simplexes.
 
@@ -318,15 +341,14 @@ def classify(diagram: CoxeterDiagram) -> Classification:
     noncompact when links are Spherical or Euclidean, and infinite-volume
     otherwise.
     """
-    G = gram_matrix(diagram)
-    sig = signature_at(G)
+    sig = _signature(diagram)
     kind, dim = _classify_signature(sig)
     volume = None
     if kind == HYPERBOLIC and sig[2] == 0 and diagram.rank == dim + 1:
         link_kinds = []
         for v in diagram.vertices:
             rest = [u for u in diagram.vertices if u != v]
-            sub_sig = signature_at(gram_matrix(diagram.induced(rest)))
+            sub_sig = _signature(diagram.induced(rest))
             link_kinds.append(_classify_signature(sub_sig)[0])
         if all(k == SPHERICAL for k in link_kinds):
             volume = COMPACT
@@ -436,7 +458,11 @@ def vinberg_arithmeticity(diagram: CoxeterDiagram) -> ArithmeticityReport:
         if all(E.galois_action(j, root) == root for j in fixing):
             fixed_squares.append(d)
     square_gens = _reduce_square_classes(fixed_squares)
-    assert field_degree == 1 << len(square_gens)
+    if field_degree != 1 << len(square_gens):
+        raise CertificateError(
+            f"cycle field has degree {field_degree} but its square classes "
+            f"{square_gens} generate degree {1 << len(square_gens)}"
+        )
 
     # A small generating set of cycle values: greedily shrink the fixing
     # subgroup down to `fixing`.
@@ -456,10 +482,11 @@ def vinberg_arithmeticity(diagram: CoxeterDiagram) -> ArithmeticityReport:
 
     certificate = None
     semidefinite = True
+    profile = _signature_profile(diagram)
     for j in range(E.n_real_embeddings):
         if j == E.chosen_embedding or j in fixing:
             continue
-        sig = signature_at(G, j)
+        sig = profile[j]
         if sig[1] != 0:
             semidefinite = False
             certificate = (

@@ -74,3 +74,8 @@ class NotHyperbolic(HyplatError):
 
 class NoBeltAvailable(HyplatError):
     """A belted-sum operand has no belt left to sum along."""
+
+
+class CertificateError(HyplatError):
+    """An internal certificate check failed: a verdict's justification does
+    not hold, which indicates a bug rather than bad input."""

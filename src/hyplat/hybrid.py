@@ -33,6 +33,7 @@ from hyplat.algebra.numberfield import (
 )
 from hyplat.algebra.quadratic_ext import QuadExtElement, QuadraticExt
 from hyplat.errors import (
+    CertificateError,
     DegenerateRestriction,
     DimensionMismatch,
     MalformedComplex,
@@ -439,7 +440,10 @@ def transported_subspace_rational(
     conj = Subspace(L, n, [[c.conjugate() for c in b] for b in W.basis])
     if W == conj:
         k_basis = field_of_definition(W)
-        assert k_basis is not None
+        if k_basis is None:
+            raise CertificateError(
+                "a Galois-stable span has no field of definition over K"
+            )
         return TransportVerdict(
             RATIONAL, k_basis, "span is Galois stable over K(sqrt(ratio))"
         )
@@ -505,8 +509,11 @@ def angle_with_hypersurface(
     value = space.evaluate(p) / qe
     restricted = space.restrict(Z)
     if sign_at_embedding(qe) > 0 and not restricted.is_degenerate:
-        if restricted.signature() == (Z.dim, 0, 0):
-            assert sign_at_embedding(value) >= 0
+        if restricted.signature() == (Z.dim, 0, 0) and sign_at_embedding(value) < 0:
+            raise CertificateError(
+                "angle value is negative although q(e) > 0 and q is positive "
+                "definite on Z"
+            )
     return value
 
 

@@ -6,6 +6,12 @@ and ``coerce``).  Everything is division-based Gaussian elimination with
 canonical reduced row echelon normalization — entries are field elements, so
 fraction-free pivoting would buy nothing, and canonical rref makes subspace
 equality a tuple comparison.
+
+Signatures come from one congruence diagonalization T^t G T = diag(D).  That
+identity holds over K, so applying a real embedding sigma_j to it shows that
+sigma_j(G) is congruent over the reals to diag(sigma_j(D)); by Sylvester's
+law of inertia its signature is read off the signs of sigma_j(D).  One
+diagonalization therefore gives the signature at every real embedding.
 """
 
 from __future__ import annotations
@@ -14,7 +20,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from hyplat.algebra.numberfield import FieldElement, NumberField, sign_at_embedding
-from hyplat.errors import DimensionMismatch, FieldMismatch, NotSymmetric
+from hyplat.errors import (
+    CertificateError,
+    DimensionMismatch,
+    FieldMismatch,
+    NotSymmetric,
+)
 
 __all__ = [
     "Matrix",
@@ -22,6 +33,8 @@ __all__ = [
     "vec",
     "symmetric_diagonalize",
     "signature_at",
+    "signature_profile",
+    "diagonal_signature_profile",
     "complement_q",
     "project_q",
 ]
@@ -356,25 +369,48 @@ def symmetric_diagonalize(G: Matrix) -> tuple[list, Matrix]:
     return D, Matrix(field, T)
 
 
+def diagonal_signature_profile(field, D: Sequence) -> tuple[tuple[int, int, int], ...]:
+    """Signature (p, m, z) of diag(D) at every real embedding of `field`.
+
+    Entry j is the signature at the j-th real embedding, counted from the
+    signs of sigma_j(D).  `field` must be a NumberField (not a quadratic
+    extension).
+    """
+    if not isinstance(field, NumberField):
+        raise FieldMismatch("signatures need entries over a number field")
+    profile = []
+    for j in range(field.n_real_embeddings):
+        p = m = z = 0
+        for d in D:
+            s = sign_at_embedding(d, j)
+            if s > 0:
+                p += 1
+            elif s < 0:
+                m += 1
+            else:
+                z += 1
+        profile.append((p, m, z))
+    return tuple(profile)
+
+
+def signature_profile(G: Matrix) -> tuple[tuple[int, int, int], ...]:
+    """Signature (p, m, z) of a symmetric matrix at every real embedding.
+
+    One congruence diagonalization serves every embedding (Sylvester's law
+    of inertia, see the module docstring).
+    """
+    D, _ = symmetric_diagonalize(G)
+    return diagonal_signature_profile(G.field, D)
+
+
 def signature_at(G: Matrix, j: int | None = None) -> tuple[int, int, int]:
     """Signature (p, m, z) of a symmetric matrix at the j-th real embedding.
 
     Requires entries over a NumberField (not a quadratic extension); defaults
-    to the field's chosen embedding.
+    to the field's chosen embedding.  Callers that need several embeddings
+    should read one `signature_profile` instead.
     """
-    if not isinstance(G.field, NumberField):
-        raise FieldMismatch("signature_at needs entries over a number field")
-    D, _ = symmetric_diagonalize(G)
-    p = m = z = 0
-    for d in D:
-        s = sign_at_embedding(d, j)
-        if s > 0:
-            p += 1
-        elif s < 0:
-            m += 1
-        else:
-            z += 1
-    return p, m, z
+    return signature_profile(G)[G.field.chosen_embedding if j is None else j]
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +546,8 @@ def project_q(G: Matrix, S: Subspace, v: Sequence) -> Vector:
     if not gram_S.det():
         raise DegenerateRestriction("form restricted to the subspace is degenerate")
     coeffs = gram_S.solve(rhs)
-    assert coeffs is not None
+    if coeffs is None:
+        raise CertificateError("a nonsingular restricted Gram system had no solution")
     out = [G.field.zero] * S.ambient_dim
     for c, b in zip(coeffs, B.rows):
         out = [o + c * e for o, e in zip(out, b)]

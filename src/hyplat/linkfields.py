@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra.multiquadratic import multiquadratic_field, squarefree_int
-from .errors import NoBeltAvailable, ParseError
+from .errors import CertificateError, NoBeltAvailable, ParseError
 from .resources import bundled_path
 
 __all__ = [
@@ -161,7 +161,8 @@ class FieldDescriptor:
     def degree_range(self) -> tuple[int, int]:
         if self.degree is not None:
             return (self.degree, self.degree)
-        assert self.degree_bounds is not None
+        if self.degree_bounds is None:
+            raise CertificateError("field descriptor has neither a degree nor bounds")
         return self.degree_bounds
 
     def __repr__(self) -> str:

@@ -23,8 +23,15 @@ from hyplat.algebra.numberfield import (
     is_square,
     sign_at_embedding,
 )
-from hyplat.linalg import Matrix, Subspace, signature_at, symmetric_diagonalize, vec
+from hyplat.linalg import (
+    Matrix,
+    Subspace,
+    diagonal_signature_profile,
+    symmetric_diagonalize,
+    vec,
+)
 from hyplat.errors import (
+    CertificateError,
     DegenerateRestriction,
     DimensionMismatch,
     FieldMismatch,
@@ -75,6 +82,10 @@ class QuadraticSpace:
     Degenerate Gram matrices are allowed only when `allow_degenerate` is set
     (restrictions to subspaces must be representable); such spaces are
     flagged and rejected by every classification routine.
+
+    The Gram matrix is immutable, so it is congruence-diagonalized at most
+    once, on first use; signatures at every embedding, diagonal entries and
+    the hyperboloid reference vector are all read from that one result.
     """
 
     def __init__(self, field: NumberField, gram: Matrix, allow_degenerate: bool = False):
@@ -89,6 +100,8 @@ class QuadraticSpace:
         self.is_degenerate = not gram.det()
         if self.is_degenerate and not allow_degenerate:
             raise DegenerateRestriction("Gram matrix is singular")
+        self._diagonalization: tuple[list[FieldElement], Matrix] | None = None
+        self._profile: tuple[tuple[int, int, int], ...] | None = None
 
     @classmethod
     def diagonal(cls, field: NumberField, entries: Sequence, **kw) -> "QuadraticSpace":
@@ -125,12 +138,21 @@ class QuadraticSpace:
             allow_degenerate=self.is_degenerate,
         )
 
+    def _diagonalize(self) -> tuple[list[FieldElement], Matrix]:
+        """(D, T) with T^t G T = diag(D), computed once per space."""
+        if self._diagonalization is None:
+            self._diagonalization = symmetric_diagonalize(self.gram)
+        return self._diagonalization
+
     def signature(self, j: int | None = None) -> tuple[int, int, int]:
-        return signature_at(self.gram, j)
+        if self._profile is None:
+            self._profile = diagonal_signature_profile(
+                self.field, self._diagonalize()[0]
+            )
+        return self._profile[self.field.chosen_embedding if j is None else j]
 
     def diagonal_entries(self) -> list[FieldElement]:
-        D, _ = symmetric_diagonalize(self.gram)
-        return D
+        return list(self._diagonalize()[0])
 
     def __repr__(self) -> str:
         return f"QuadraticSpace(dim {self.dim} over {self.field!r})"
@@ -217,7 +239,7 @@ def hyperboloid_membership(space: QuadraticSpace, v: Sequence) -> HyperboloidRep
     timelike = s < 0
     sheet = None
     if timelike:
-        D, T = symmetric_diagonalize(space.gram)
+        D, T = space._diagonalize()
         neg = next(i for i, d in enumerate(D) if sign_at_embedding(d) < 0)
         ref = T.col(neg)
         pairing = sign_at_embedding(space.inner_product(ref, v))
@@ -400,12 +422,14 @@ def isometric_over_Q(q1: QuadraticSpace, q2: QuadraticSpace) -> IsometryVerdict:
         h1, h2 = hasse_invariant(d1, p), hasse_invariant(d2, p)
         if h1 != h2:
             return IsometryVerdict(False, f"Hasse invariant differs at p={p}")
-    if __debug__:
-        # Outside the relevant set the invariants are provably trivial; spot
-        # check the first two excluded odd primes.
-        extra = [p for p in (3, 5, 7, 11, 13) if p not in primes][:2]
-        for p in extra:
-            assert hasse_invariant(d1, p) == 1 == hasse_invariant(d2, p)
+    # Outside the relevant set the invariants are provably trivial; spot
+    # check the first two excluded odd primes.
+    extra = [p for p in (3, 5, 7, 11, 13) if p not in primes][:2]
+    for p in extra:
+        if not hasse_invariant(d1, p) == 1 == hasse_invariant(d2, p):
+            raise CertificateError(
+                f"Hasse invariant at p={p}, outside the relevant primes, is not 1"
+            )
     return IsometryVerdict(
         True,
         "dimension, signature, discriminant and Hasse invariants at "

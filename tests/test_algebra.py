@@ -80,16 +80,25 @@ def test_rational_roots():
     assert P.rational_roots(f) == [F(-3), F(1, 2)]
 
 
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5))
-def test_charpoly_rational_trace_det(entries):
-    n = 2
-    vals = (entries * 4)[: n * n]
-    rows = [[F(vals[i * n + j]) for j in range(n)] for i in range(n)]
+@st.composite
+def _rational_matrices(draw):
+    n = draw(st.integers(1, 8))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rational_matrices())
+def test_charpoly_rational_trace_det(rows):
+    import sympy
+
+    n = len(rows)
     cp = P.charpoly_rational(rows)
-    # x^2 - tr x + det
-    tr = rows[0][0] + rows[1][1]
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    assert cp == P.poly([det, -tr, 1])
+    ref = sympy.Matrix(rows).charpoly().all_coeffs()  # descending
+    assert cp == P.poly(F(int(c.p), int(c.q)) for c in reversed(ref))
+    # x^n - tr x^(n-1) + ... + (-1)^n det
+    assert cp[n] == 1
+    assert cp[n - 1] == -sum(rows[i][i] for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +218,17 @@ def test_is_algebraic_integer_golden_ratio(K5):
     assert not is_algebraic_integer(t / 2)
     assert is_algebraic_integer(K5.from_fraction(7))
     assert not is_algebraic_integer(K5.from_fraction(F(1, 2)))
+    # degree 8: the Coxeter entry field Q(sqrt 2, sqrt 3, sqrt 5)
+    from hyplat.coxeter import entry_field
+
+    E = entry_field()
+    r2, r3, r5 = E.sqrt(2), E.sqrt(3), E.sqrt(5)
+    assert is_algebraic_integer((E.one + r5) / 2)
+    assert is_algebraic_integer(r2 * r3 - 7 * r5)
+    assert is_algebraic_integer((E.one + r5) / 2 * (r2 + r3))
+    assert not is_algebraic_integer(r2 / 2)
+    assert not is_algebraic_integer((E.one + r5) / 4)
+    assert not is_algebraic_integer(r3 / 2 + r5 / 3)
 
 
 def test_degree_one_field_roundtrip():

@@ -133,6 +133,28 @@ class TestHybridCommands:
         assert code == 1
         assert "HypothesesNotMet" in out
 
+    def test_verify_runs_one_similarity_per_gluing(self, capsys, tmp_path, monkeypatch):
+        import hyplat.hybrid
+
+        calls = []
+        original = hyplat.hybrid.similar
+
+        def counting_similar(q1, q2):
+            calls.append((q1, q2))
+            return original(q1, q2)
+
+        monkeypatch.setattr(hyplat.hybrid, "similar", counting_similar)
+        f = tmp_path / "triangle.cplx"
+        f.write_text(
+            "field 1 0\npattern cycle\nshared diag 1 1 -1\n"
+            "block N1 alpha 1\nblock N2 alpha 2\nblock N3 alpha 3\n"
+            "glue N1 N2\nglue N2 N3\nglue N3 N1\n"
+        )
+        code, out, _ = run(capsys, "hybrid", "verify", str(f))
+        assert code == 0
+        assert "HypothesesMet" in out
+        assert len(calls) == 3
+
     def test_verify_structural_error(self, capsys, tmp_path):
         f = tmp_path / "broken.cplx"
         f.write_text(GPS_COMPLEX + "block N3 alpha 1\n")  # gps needs 2 blocks

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyplat.algebra.numberfield import QQ, NumberField
+from hyplat.algebra.numberfield import QQ, NumberField, sign_at_embedding
 from hyplat.algebra.quadratic_ext import QuadraticExt
 from hyplat.errors import (
     DegenerateRestriction,
@@ -22,6 +23,7 @@ from hyplat.linalg import (
     complement_q,
     project_q,
     signature_at,
+    signature_profile,
     symmetric_diagonalize,
     vec,
 )
@@ -106,6 +108,82 @@ def test_signature_at_other_embedding():
 def test_signature_degenerate():
     G = Matrix(QQ, [[1, 1], [1, 1]])
     assert signature_at(G) == (1, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Signature profiles, checked against conjugated matrices
+# ---------------------------------------------------------------------------
+
+
+def _chosen_signature_by_diagonalization(G):
+    """Signature at the chosen embedding, straight from a diagonalization."""
+    D, _ = symmetric_diagonalize(G)
+    signs = [sign_at_embedding(d) for d in D]
+    return signs.count(1), signs.count(-1), signs.count(0)
+
+
+def _conjugate_route(G, conjugate):
+    """Signatures at every embedding j: conjugate each entry by the j-th
+    automorphism, then read the chosen embedding."""
+    K = G.field
+    return tuple(
+        _chosen_signature_by_diagonalization(
+            Matrix(K, [[conjugate(j, x) for x in row] for row in G.rows])
+        )
+        for j in range(K.n_real_embeddings)
+    )
+
+
+@lru_cache(maxsize=1)
+def _entry_field_matrices():
+    from hyplat.coxeter import entry_field, gram_matrix, parse_diagram
+    from hyplat.resources import bundled_path
+
+    E = entry_field()
+    r2, r3, r5 = E.sqrt(2), E.sqrt(3), E.sqrt(5)
+    out = {
+        path.stem: gram_matrix(parse_diagram(path.read_text()))
+        for path in sorted(bundled_path("figures").glob("*.cox"))
+    }
+    assert len(out) == 9
+    a = r2 - 1
+    out["rank_one"] = Matrix(E, [[a, a], [a, a]])
+    out["zero"] = Matrix.zeros(E, 3, 3)
+    out["off_diagonal_pivot"] = Matrix(
+        E, [[0, r3, 0], [r3, 0, 0], [0, 0, 0]]
+    )
+    out["mixed_kernel"] = Matrix(
+        E, [[1, r5, 0, 0], [r5, 5, 0, 0], [0, 0, r2 - r3, 0], [0, 0, 0, r5 - 2]]
+    )
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_entry_field_matrices()))
+def test_signature_profile_matches_conjugated_matrices(name):
+    G = _entry_field_matrices()[name]
+    E = G.field
+    profile = signature_profile(G)
+    assert profile == _conjugate_route(G, E.galois_action)
+    assert profile[E.chosen_embedding] == signature_at(G)
+
+
+def test_signature_profile_real_quadratic_space():
+    from hyplat.quadform import QuadraticSpace
+
+    K = NumberField([-2, 0, 1])
+    t = K.gen
+    space = QuadraticSpace(K, Matrix(K, [[1, t, 0], [t, 3, 1], [0, 1, -t]]))
+
+    def conjugate(j, x):  # t -> -t is the nontrivial automorphism
+        a, b = x.coords
+        return x if j == K.chosen_embedding else K.element([a, -b])
+
+    per_embedding = tuple(space.signature(j) for j in range(2))
+    assert per_embedding == signature_profile(space.gram)
+    assert per_embedding == tuple(signature_at(space.gram, j) for j in range(2))
+    assert per_embedding == _conjugate_route(space.gram, conjugate)
+    assert space.signature() == space.signature(K.chosen_embedding)
+    assert per_embedding[0] != per_embedding[1]
 
 
 def test_subspace_canonical_equality():
