@@ -1,7 +1,7 @@
 """Multiquadratic composita Q(sqrt(d1), ..., sqrt(dt)).
 
 Generators are squarefree integers (!= 0, 1).  They are canonicalized by
-GF(2) linear algebra on prime-support vectors (with a sign bit), which both
+`arith.square_class_basis` (GF(2) reduction of square classes), which both
 removes multiplicative dependencies (e.g. {2, 3, 6}) and gives a canonical
 generator list so that equal composita always present identical generators.
 
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Sequence
 
 from hyplat.algebra import polynomials as P
+from hyplat.algebra.arith import in_square_class_span, is_squarefree, square_class_basis
 from hyplat.algebra.numberfield import (
     FieldElement,
     NumberField,
@@ -32,82 +32,7 @@ __all__ = [
     "multiquadratic_field",
     "MultiquadraticField",
     "ImaginaryCompositum",
-    "squarefree_int",
 ]
-
-
-def squarefree_int(n: int) -> bool:
-    if n == 0:
-        return False
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _support_vector(d: int, primes: list[int]) -> int:
-    """Bit vector: bit 0 = sign, bit (i+1) = parity of prime i's exponent."""
-    v = 1 if d < 0 else 0
-    for i, p in enumerate(primes):
-        e = 0
-        m = abs(d)
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e & 1:
-            v |= 1 << (i + 1)
-    return v
-
-
-def _canonical_generators(discs: Sequence[int]) -> list[int]:
-    """GF(2)-reduce a list of squarefree discriminants to canonical form."""
-    primes = sorted({p for d in discs for p in _prime_factors(d)})
-    vecs = [_support_vector(d, primes) for d in discs]
-    # XOR linear basis, kept sorted descending so insertion fully reduces.
-    basis: list[int] = []
-    for v in vecs:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    # Reduced echelon form: clear each leading bit from all other rows.
-    reduced = list(basis)
-    for i in range(len(reduced)):
-        lead = 1 << (reduced[i].bit_length() - 1)
-        for j in range(len(reduced)):
-            if j != i and reduced[j] & lead:
-                reduced[j] ^= reduced[i]
-    # Convert back to integers.
-    out = []
-    for v in reduced:
-        d = -1 if v & 1 else 1
-        for i, p in enumerate(primes):
-            if v & (1 << (i + 1)):
-                d *= p
-        if d != 1:
-            out.append(d)
-    return sorted(out, key=lambda d: (abs(d), d))
 
 
 @dataclass(frozen=True)
@@ -128,31 +53,11 @@ class ImaginaryCompositum:
         return False
 
     def contains_sqrt(self, d: int) -> bool:
-        return _in_span(self.generators, d)
+        return in_square_class_span(self.generators, d)
 
     def __repr__(self) -> str:
         gens = ", ".join(f"sqrt({d})" for d in self.generators)
         return f"ImaginaryCompositum(Q({gens}), degree {self.degree})"
-
-
-def _in_span(generators: Sequence[int], d: int) -> bool:
-    if not squarefree_int(d) and d != 1:
-        raise ValueError(f"discriminant {d} is not squarefree")
-    if d == 1:
-        return True
-    primes = sorted({p for g in list(generators) + [d] for p in _prime_factors(g)})
-    vecs = [_support_vector(g, primes) for g in generators]
-    target = _support_vector(d, primes)
-    basis = []
-    for v in vecs:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    for b in basis:
-        target = min(target, target ^ b)
-    return target == 0
 
 
 class MultiquadraticField(NumberField):
@@ -176,12 +81,7 @@ class MultiquadraticField(NumberField):
                 if a:
                     for r, b in enumerate(v):
                         if b:
-                            common = s & r
-                            coeff = Fraction(1)
-                            for i in range(t):
-                                if common & (1 << i):
-                                    coeff *= gens[i]
-                            out[s ^ r] += a * b * coeff
+                            out[s ^ r] += a * b * disc_prod[s & r]
             return out
 
         gamma = [Fraction(0)] * n
@@ -190,29 +90,33 @@ class MultiquadraticField(NumberField):
         if t == 0:
             gamma = [Fraction(0)]  # the zero element; field is Q
 
-        # Powers of gamma in monomial coordinates, and the first linear
-        # dependence among them = the minimal polynomial.
+        # Powers of gamma in monomial coordinates; pm has gamma^j as column j.
         powers: list[list[Fraction]] = []
         cur = [Fraction(1)] + [Fraction(0)] * (n - 1)
         for _ in range(n + 1):
             powers.append(cur)
             cur = mono_mul(cur, gamma)
-        minpoly = _first_dependence(powers, n)
-        if P.degree(minpoly) != n:
+        pm = [[powers[j][s] for j in range(n)] for s in range(n)]
+        # One Gauss-Jordan on [pm | gamma^n | I]: pivots 0..n-1 mean gamma has
+        # full degree; then column n writes gamma^n in the lower powers (the
+        # minimal polynomial) and the last n columns are pm^-1.
+        red, pivots = P.rational_rref(
+            [row + [powers[n][s]] + [int(s == k) for k in range(n)]
+             for s, row in enumerate(pm)]
+        )
+        if pivots != tuple(range(n)):
             raise ValueError(
                 "generators do not produce a primitive element of full degree "
-                f"(got degree {P.degree(minpoly)}, expected {n})"
+                f"(got degree {sum(p < n for p in pivots)}, expected {n})"
             )
-        super().__init__(minpoly, _trusted=True)
+        super().__init__([-row[n] for row in red] + [1], _trusted=True)
         if not self.is_totally_real:
             raise AssertionError("real multiquadratic compositum must be totally real")
 
         self.generators: tuple[int, ...] = gens
         self.t = t
-        # power -> monomial change of basis: column j = gamma^j.
-        pm = [[powers[j][s] for j in range(n)] for s in range(n)]
         self._power_to_mono = pm
-        self._mono_to_power = _invert_fraction_matrix(pm)
+        self._mono_to_power = [row[n + 1:] for row in red]
 
         self._sqrts: dict[int, FieldElement] = {}
         for i in range(t):
@@ -233,7 +137,7 @@ class MultiquadraticField(NumberField):
     # -- multiquadratic-specific API ----------------------------------------
 
     def contains_sqrt(self, d: int) -> bool:
-        return _in_span(self.generators, d)
+        return in_square_class_span(self.generators, d)
 
     def sqrt(self, d: int) -> FieldElement:
         """The (positive at chosen embedding) square root of integer d."""
@@ -300,50 +204,6 @@ class MultiquadraticField(NumberField):
         return f"MultiquadraticField(Q({gens}), degree {self.degree})"
 
 
-def _first_dependence(rows: list[list[Fraction]], n: int) -> P.Poly:
-    """Monic combination: first k with rows[k] in span(rows[:k]).
-
-    Returns the ascending coefficients of x^k - sum c_j x^j.
-    """
-    # Incremental elimination with recorded combinations.
-    pivots: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    for k, row in enumerate(rows):
-        vec = list(row)
-        comb = [Fraction(0)] * len(rows)
-        comb[k] = Fraction(1)
-        for col, pvec, pcomb in pivots:
-            if vec[col]:
-                factor = vec[col]
-                vec = [a - factor * b for a, b in zip(vec, pvec)]
-                comb = [a - factor * b for a, b in zip(comb, pcomb)]
-        lead = next((i for i, v in enumerate(vec) if v), None)
-        if lead is None:
-            # rows[k] = sum_{j<k} (-comb[j]) rows[j]; monic minimal polynomial.
-            coeffs = [comb[j] for j in range(k)] + [Fraction(1)]
-            return P.poly(coeffs)
-        inv = 1 / vec[lead]
-        vec = [v * inv for v in vec]
-        comb = [c * inv for c in comb]
-        pivots.append((lead, vec, comb))
-    raise AssertionError("no linear dependence found among n+1 vectors")
-
-
-def _invert_fraction_matrix(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(M)
-    A = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [v / pv for v in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [v - f * w for v, w in zip(A[r], A[col])]
-    return [row[n:] for row in A]
-
-
 def multiquadratic_field(
     discs: Iterable[int],
 ) -> MultiquadraticField | ImaginaryCompositum:
@@ -357,9 +217,9 @@ def multiquadratic_field(
     for d in ds:
         if not isinstance(d, int) or d in (0, 1):
             raise ValueError(f"discriminant {d!r} must be an integer != 0, 1")
-        if not squarefree_int(d):
+        if not is_squarefree(d):
             raise ValueError(f"discriminant {d} is not squarefree")
-    gens = _canonical_generators(ds)
+    gens = square_class_basis(ds)
     if any(d < 0 for d in gens):
         return ImaginaryCompositum(tuple(gens))
     return MultiquadraticField(gens)

@@ -430,22 +430,6 @@ def _sqrt_approx(q: Fraction, bits: int) -> Fraction:
     return Fraction(isqrt(scaled), 1 << shift)
 
 
-def _solve_fraction(A: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a small invertible rational linear system by elimination."""
-    n = len(A)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[pivot] = M[pivot], M[col]
-        pv = M[col][col]
-        M[col] = [v / pv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                factor = M[r][col]
-                M[r] = [v - factor * w for v, w in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
 def is_square(a: FieldElement, height_bound: int = 10**6) -> FieldElement | None:
     """An exact square root of `a` in its field, or None if none exists.
 
@@ -491,7 +475,8 @@ def is_square(a: FieldElement, height_bound: int = 10**6) -> FieldElement | None
                 mags[j] if (mask >> (j - 1)) & 1 == 0 else -mags[j]
                 for j in range(1, d)
             ]
-            coords = _solve_fraction([row[:] for row in V], rhs)
+            red, _ = P.rational_rref([row + [r] for row, r in zip(V, rhs)])
+            coords = [row[d] for row in red]
             cand = K.element([_cf_rationalize(c, height) for c in coords])
             if cand * cand == a:
                 if sign_at_embedding(cand, last) < 0:

@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+from hyplat.algebra.arith import divisors
+
 Poly = tuple[Fraction, ...]
 
 
@@ -113,14 +115,6 @@ def poly_eval(f: Poly, x: Fraction | int) -> Fraction:
     return acc
 
 
-def poly_compose(f: Poly, g: Poly) -> Poly:
-    """f(g(x))."""
-    acc: Poly = ()
-    for c in reversed(f):
-        acc = poly_add(poly_mul(acc, g), poly((c,)))
-    return acc
-
-
 def interval_eval(f: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Interval Horner evaluation: encloses {f(x) : lo <= x <= hi}."""
     mlo = mhi = Fraction(0)
@@ -132,14 +126,6 @@ def interval_eval(f: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fracti
 
 def is_squarefree(f: Poly) -> bool:
     return degree(poly_gcd(f, poly_derivative(f))) <= 0
-
-
-def squarefree_part(f: Poly) -> Poly:
-    g = poly_gcd(f, poly_derivative(f))
-    if degree(g) <= 0:
-        return poly_scale(f, 1 / leading(f))
-    q, _ = poly_divmod(f, g)
-    return poly_scale(q, 1 / leading(q))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +226,7 @@ def refine_interval(
 
 
 # ---------------------------------------------------------------------------
-# Resultants and rational matrix characteristic polynomials
+# Resultants and rational matrices
 # ---------------------------------------------------------------------------
 
 
@@ -274,9 +260,7 @@ def rational_roots(f: Poly) -> list[Fraction]:
     """All rational roots of a nonzero f with rational coefficients."""
     if not f:
         raise ValueError("zero polynomial")
-    den = 1
-    for c in f:
-        den = den * c.denominator // _gcd(den, c.denominator) if c else den
+    den = lcm(*(c.denominator for c in f))
     ints = [int(c * den) for c in f]
     while ints and ints[0] == 0:
         ints = ints[1:]  # factor out x
@@ -286,33 +270,12 @@ def rational_roots(f: Poly) -> list[Fraction]:
     if not ints:
         return sorted(roots)
     a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
+    for p in divisors(a0):
+        for q in divisors(an):
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if poly_eval(f, cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def charpoly_rational(rows: Sequence[Sequence[Fraction]]) -> Poly:
@@ -348,3 +311,33 @@ def charpoly_rational(rows: Sequence[Sequence[Fraction]]) -> Poly:
             AM[i][i] += ck
         M = AM
     return poly(reversed(coeffs))
+
+
+def rational_rref(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form of a rational matrix and its pivot columns.
+
+    Gauss-Jordan elimination on Fractions; the one elimination behind every
+    rational solve, inverse and linear-dependence search in the package.
+    """
+    A = [list(r) for r in rows]
+    nr, nc = len(A), len(A[0]) if A else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if A[i][c]), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        pv = Fraction(A[r][c])
+        A[r] = [v / pv for v in A[r]]
+        for i in range(nr):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return A, tuple(pivots)

@@ -11,10 +11,9 @@ Subcommands tie the library modules together:
 
 Reports are deterministic: exact values rendered as rationals or
 polynomials in the field generator, canonical JSON (sorted keys, input
-digests, no timestamps), results ordered by input order even when
-``--jobs`` runs analyses concurrently.  Exit codes: 0 on success, 1 only
-with ``--strict`` on an analysis-level negative verdict, 2 on input
-errors.
+digests, no timestamps), results in input order.  Exit codes: 0 on
+success, 1 only with ``--strict`` on an analysis-level negative verdict, 2
+on input errors.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -121,29 +119,17 @@ def _tree(x):
 # ---------------------------------------------------------------------------
 
 
-def _map_jobs(fn, items, jobs: int):
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _cmd_form_check(args):
     texts = [(token, _load_form_text(token)) for token in args.form]
-
-    def one(pair):
-        token, text = pair
-        space = parse_form(text)
-        rep = is_admissible(space)
-        result = {
+    results = []
+    for token, text in texts:
+        rep = is_admissible(parse_form(text))
+        results.append({
             "input": token,
             "admissible": rep.admissible,
             "signature": list(rep.signature_chosen),
             "reasons": rep.reasons,
-        }
-        return result
-
-    results = _map_jobs(one, texts, args.jobs)
+        })
     lines = []
     for r in results:
         if r["admissible"]:
@@ -298,9 +284,7 @@ def _coxeter_one(token_text, want_approx: bool) -> dict:
 
 def _cmd_coxeter_analyze(args):
     texts = [(token, _load_text(token)) for token in args.diagram]
-    results = _map_jobs(
-        lambda pair: _coxeter_one(pair, args.approx), texts, args.jobs
-    )
+    results = [_coxeter_one(pair, args.approx) for pair in texts]
     lines = []
     for r in results:
         sig = tuple(r["signature"])
@@ -381,13 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="exit 1 on an analysis-level negative verdict",
-    )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run batch analyses concurrently (output order is input order)",
     )
     common.add_argument(
         "--approx",

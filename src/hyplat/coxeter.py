@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from hyplat.algebra.arith import square_class_basis
 from hyplat.algebra.multiquadratic import MultiquadraticField
 from hyplat.algebra.numberfield import (
     FieldElement,
@@ -457,7 +458,7 @@ def vinberg_arithmeticity(diagram: CoxeterDiagram) -> ArithmeticityReport:
         root = E.sqrt(d)
         if all(E.galois_action(j, root) == root for j in fixing):
             fixed_squares.append(d)
-    square_gens = _reduce_square_classes(fixed_squares)
+    square_gens = square_class_basis(fixed_squares)
     if field_degree != 1 << len(square_gens):
         raise CertificateError(
             f"cycle field has degree {field_degree} but its square classes "
@@ -524,31 +525,6 @@ def vinberg_arithmeticity(diagram: CoxeterDiagram) -> ArithmeticityReport:
         certificate=certificate,
         embedding_restrictions=restrictions,
     )
-
-
-def _reduce_square_classes(ds: Sequence[int]) -> tuple[int, ...]:
-    """Canonical independent generators of the group the sqrt(d) generate.
-
-    Square classes supported on {2, 3, 5} form a GF(2) space on three bits;
-    reduce the given classes to a reduced echelon basis and map back.
-    """
-    to_mask = {2: 1, 3: 2, 5: 4, 6: 3, 10: 5, 15: 6, 30: 7}
-    from_mask = {m: d for d, m in to_mask.items()}
-    pivots: dict[int, int] = {}
-    for d in ds:
-        v = to_mask[d]
-        for bit in (2, 1, 0):
-            if (v >> bit) & 1:
-                if bit in pivots:
-                    v ^= pivots[bit]
-                else:
-                    pivots[bit] = v
-                    break
-    for bit in list(pivots):
-        for other in list(pivots):
-            if other != bit and (pivots[other] >> bit) & 1:
-                pivots[other] ^= pivots[bit]
-    return tuple(sorted(from_mask[m] for m in pivots.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,11 @@ class NoBeltAvailable(HyplatError):
     """A belted-sum operand has no belt left to sum along."""
 
 
+class FactorizationBound(HyplatError):
+    """An integer has a cofactor too large to certify prime by trial
+    division up to the supported bound."""
+
+
 class CertificateError(HyplatError):
     """An internal certificate check failed: a verdict's justification does
     not hold, which indicates a bug rather than bad input."""

@@ -46,6 +46,7 @@ from hyplat.quadform import (
     NOT_SIMILAR,
     SIMILAR,
     UNKNOWN,
+    FieldHeader,
     QuadraticSpace,
     SimilarityVerdict,
     direct_sum,
@@ -612,26 +613,17 @@ def parse_complex(text: str) -> BlockComplex:
         glue N1 N2
         glue N2 N1 label a    # labels only matter for the gl pattern
     """
-    field: NumberField | None = None
-    embedding: int | None = None
+    header = FieldHeader()
     pattern: str | None = None
     shared: QuadraticSpace | None = None
     pending: list[_PendingBlock] = []
     open_block: _PendingBlock | None = None
     gluings: list[Gluing] = []
-    field_coeffs: list[int] | None = None
 
     def ensure_field(lineno: int) -> NumberField:
-        nonlocal field
-        if field is None:
-            if field_coeffs is None:
-                raise ParseError("a 'field' line must come first", lineno)
-            # File-format default: the smallest real root (index 0).
-            field = NumberField(
-                list(reversed(field_coeffs)),
-                embedding=0 if embedding is None else embedding,
-            )
-        return field
+        if header.coeffs is None:
+            raise ParseError("a 'field' line must come first", lineno)
+        return header.field()
 
     def close_block(lineno: int) -> None:
         nonlocal open_block
@@ -658,24 +650,9 @@ def parse_complex(text: str) -> BlockComplex:
             continue
         parts = line.split()
         head = parts[0]
-        if head == "field":
+        if head in ("field", "embedding"):
             close_block(lineno)
-            if field_coeffs is not None:
-                raise ParseError("duplicate 'field' line", lineno)
-            try:
-                field_coeffs = [int(p) for p in parts[1:]]
-            except ValueError:
-                raise ParseError("field coefficients must be integers", lineno)
-            if len(field_coeffs) < 2:
-                raise ParseError("field needs at least two coefficients", lineno)
-        elif head == "embedding":
-            close_block(lineno)
-            if len(parts) != 2:
-                raise ParseError("embedding takes one index", lineno)
-            try:
-                embedding = int(parts[1])
-            except ValueError:
-                raise ParseError("embedding index must be an integer", lineno)
+            header.read(parts, lineno)
         elif head == "pattern":
             close_block(lineno)
             if len(parts) != 2 or parts[1] not in PATTERNS:
@@ -753,7 +730,7 @@ def parse_complex(text: str) -> BlockComplex:
             raise ParseError(f"unknown directive {head!r}", lineno, col=1)
     close_block(len(lines) or 1)
 
-    if field_coeffs is None:
+    if header.coeffs is None:
         raise ParseError("missing 'field' line", len(lines) or 1)
     if pattern is None:
         raise ParseError("missing 'pattern' line", len(lines) or 1)

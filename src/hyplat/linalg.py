@@ -17,7 +17,7 @@ diagonalization therefore gives the signature at every real embedding.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from hyplat.algebra.numberfield import FieldElement, NumberField, sign_at_embedding
 from hyplat.errors import (
@@ -176,9 +176,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [self.col(j) for j in range(self.ncols)])
 
-    def map(self, fn: Callable) -> "Matrix":
-        return Matrix(self.field, [[fn(a) for a in r] for r in self.rows])
-
     @property
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
@@ -279,29 +276,6 @@ class Matrix:
                 v[pc] = -red.rows[r][fc]
             basis.append(tuple(v))
         return basis
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        acc = self.field.zero
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
-
-    def charpoly(self) -> list:
-        """Coefficients of det(xI - A), ascending, exact (Faddeev-LeVerrier)."""
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("charpoly of a non-square matrix")
-        n = self.nrows
-        field = self.field
-        M = Matrix.identity(field, n)
-        coeffs = [field.one]  # descending
-        for k in range(1, n + 1):
-            AM = self @ M
-            ck = -(AM.trace() / k)
-            coeffs.append(ck)
-            M = AM + Matrix.identity(field, n) * ck
-        return list(reversed(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra.multiquadratic import multiquadratic_field, squarefree_int
+from .algebra.arith import is_squarefree
+from .algebra.multiquadratic import multiquadratic_field
 from .errors import CertificateError, NoBeltAvailable, ParseError
 from .resources import bundled_path
 
@@ -77,7 +78,7 @@ class ArithmeticLinkRecord:
     def __post_init__(self):
         if self.bianchi_disc >= 0:
             raise ValueError(f"disc {self.bianchi_disc} must be negative")
-        if not squarefree_int(self.bianchi_disc):
+        if not is_squarefree(self.bianchi_disc):
             raise ValueError(f"disc {self.bianchi_disc} must be squarefree")
         if self.belt_count < 1:
             raise ValueError("a base link needs at least one belt")

@@ -16,6 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from hyplat.algebra.arith import (
+    factorize,
+    is_prime,
+    primes_outside,
+    squarefree_part,
+)
 from hyplat.algebra.numberfield import (
     FieldElement,
     NumberField,
@@ -60,6 +66,7 @@ __all__ = [
     "isometric_over_Q",
     "similar",
     "commensurable",
+    "FieldHeader",
     "parse_form",
 ]
 
@@ -252,42 +259,6 @@ def hyperboloid_membership(space: QuadraticSpace, v: Sequence) -> HyperboloidRep
 # Rational local invariants
 # ---------------------------------------------------------------------------
 
-_FACTOR_BOUND = 10**6
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs are desk scale)."""
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    n = abs(n)
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n and d <= _FACTOR_BOUND:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if n > _FACTOR_BOUND * _FACTOR_BOUND:
-            raise ValueError(f"factor {n} exceeds the supported factorization bound")
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def squarefree_part(q: Fraction | int) -> int:
-    """The signed squarefree integer representing q's rational square class."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("0 has no square class")
-    n = q.numerator * q.denominator
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factorize(n).items():
-        if e & 1:
-            out *= p
-    return out
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p, a coprime to p."""
     r = pow(a % p, (p - 1) // 2, p)
@@ -319,7 +290,7 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, place) -> int:
     if place in ("inf", "infinity", None) or place == float("inf"):
         return -1 if a < 0 and b < 0 else 1
     p = int(place)
-    if p < 2 or len(factorize(p)) != 1 or factorize(p).get(p) != 1:
+    if not is_prime(p):
         raise ValueError(f"place {place!r} is not a prime or 'inf'")
     alpha, u = _split(a, p)
     beta, v = _split(b, p)
@@ -452,13 +423,6 @@ class SimilarityVerdict:
         return self.status == SIMILAR
 
 
-def _squarefree_divisors(primes: Sequence[int]) -> list[int]:
-    out = [1]
-    for p in primes:
-        out += [d * p for d in out]
-    return out
-
-
 def _similar_over_Q(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict:
     m = q1.dim
     d1, d2 = rational_diagonal(q1), rational_diagonal(q2)
@@ -504,7 +468,13 @@ def _similar_over_Q(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict
             NOT_SIMILAR, None, f"discriminant class {D1} != {D2} (even dimension)"
         )
     primes = relevant_primes(d1, d2)
-    for t in _squarefree_divisors(primes):
+    # The squarefree divisors of prod(primes), built prime by prime rather
+    # than by divisors(prod(primes)): two primes above 10^6 would put that
+    # product past the factorization bound.
+    supported = [1]
+    for p in primes:
+        supported += [t * p for t in supported]
+    for t in supported:
         for lam in (t, -t):
             got = verify(lam)
             if got:
@@ -523,9 +493,9 @@ def _similar_over_Q(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict
             )
     # A suitable scalar exists (see docs/similarity.md); it may need one
     # auxiliary prime outside the bad set.
-    aux = _primes_outside(primes, count=40)
+    aux = primes_outside(primes, count=40)
     for r in aux:
-        for t in _squarefree_divisors(primes):
+        for t in supported:
             for lam in (t * r, -t * r):
                 got = verify(lam)
                 if got:
@@ -546,17 +516,6 @@ def _is_local_square(c: int, p: int) -> bool:
     if p == 2:
         return u % 8 == 1
     return legendre(u, p) == 1
-
-
-def _primes_outside(excluded: Sequence[int], count: int) -> list[int]:
-    out: list[int] = []
-    n = 3
-    banned = set(excluded)
-    while len(out) < count:
-        if len(factorize(n)) == 1 and factorize(n).get(n) == 1 and n not in banned:
-            out.append(n)
-        n += 2
-    return out
 
 
 def _match_diagonals_by_squares(
@@ -819,6 +778,59 @@ def _parse_expression(token: str, field: NumberField, lineno: int) -> FieldEleme
     return acc
 
 
+class FieldHeader:
+    """The ``field`` and ``embedding`` lines shared by form and complex files.
+
+    ``field`` lists the descending integer coefficients of the monic defining
+    polynomial; ``embedding`` indexes its ascending real roots (default 0, the
+    smallest).  Both must come before the first entry that needs the field,
+    and every problem, a bad polynomial included, is a ParseError.
+    """
+
+    def __init__(self):
+        self.coeffs: list[int] | None = None
+        self.embedding = 0
+        self.lineno = 0
+        self._field: NumberField | None = None
+
+    def read(self, parts: list[str], lineno: int) -> None:
+        """Take one ``field`` or ``embedding`` line, already split."""
+        head = parts[0]
+        if head == "field" and self.coeffs is not None:
+            raise ParseError("duplicate 'field' line", lineno)
+        if self._field is not None:
+            raise ParseError(f"'{head}' must come before the form", lineno)
+        if head == "field":
+            try:
+                self.coeffs = [int(p) for p in parts[1:]]
+            except ValueError:
+                raise ParseError("field coefficients must be integers", lineno) from None
+            if len(self.coeffs) < 2:
+                raise ParseError("field needs at least two coefficients", lineno)
+            self.lineno = lineno
+        else:
+            if len(parts) != 2:
+                raise ParseError("expected 'embedding <index>'", lineno)
+            try:
+                self.embedding = int(parts[1])
+            except ValueError:
+                raise ParseError("embedding index must be an integer", lineno) from None
+
+    def field(self) -> NumberField:
+        """The declared field, the rationals without a ``field`` line."""
+        if self._field is None:
+            if self.coeffs is None:
+                self._field = QQ
+            else:
+                try:
+                    self._field = NumberField(
+                        list(reversed(self.coeffs)), embedding=self.embedding
+                    )
+                except ValueError as exc:
+                    raise ParseError(str(exc), self.lineno) from None
+        return self._field
+
+
 def parse_form(text: str) -> QuadraticSpace:
     """Parse the quadratic-form file format.
 
@@ -835,28 +847,10 @@ def parse_form(text: str) -> QuadraticSpace:
 
     Entries are rationals or polynomial expressions in the generator ``t``.
     """
-    field_coeffs: list[int] | None = None
-    embedding: int | None = None
-    field: NumberField | None = None
+    header = FieldHeader()
     diag_tokens: tuple[list[str], int] | None = None
     row_tokens: list[tuple[list[str], int]] = []
     rows_expected = 0
-
-    def ensure_field(lineno: int) -> NumberField:
-        nonlocal field
-        if field is None:
-            if field_coeffs is None:
-                field = QQ
-            else:
-                # File-format default: the smallest real root (index 0).
-                try:
-                    field = NumberField(
-                        list(reversed(field_coeffs)),
-                        embedding=0 if embedding is None else embedding,
-                    )
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from None
-        return field
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -868,31 +862,14 @@ def parse_form(text: str) -> QuadraticSpace:
             rows_expected -= 1
             continue
         head = parts[0]
-        if head == "field":
-            if field_coeffs is not None:
-                raise ParseError("duplicate 'field' line", lineno)
-            if diag_tokens or row_tokens:
-                raise ParseError("'field' must come before the form", lineno)
-            try:
-                field_coeffs = [int(p) for p in parts[1:]]
-            except ValueError:
-                raise ParseError("field coefficients must be integers", lineno)
-            if len(field_coeffs) < 2:
-                raise ParseError("field needs at least two coefficients", lineno)
-        elif head == "embedding":
-            if diag_tokens or row_tokens:
-                raise ParseError("'embedding' must come before the form", lineno)
-            if len(parts) != 2:
-                raise ParseError("expected 'embedding <index>'", lineno)
-            try:
-                embedding = int(parts[1])
-            except ValueError:
-                raise ParseError("embedding index must be an integer", lineno)
+        if head in ("field", "embedding"):
+            header.read(parts, lineno)
         elif head == "diag":
             if diag_tokens or row_tokens:
                 raise ParseError("only one form per file", lineno)
             if len(parts) < 2:
                 raise ParseError("'diag' needs at least one entry", lineno)
+            header.field()
             diag_tokens = (parts[1:], lineno)
         elif head == "form":
             if diag_tokens or row_tokens:
@@ -905,19 +882,19 @@ def parse_form(text: str) -> QuadraticSpace:
                 raise ParseError("form dimension must be an integer", lineno)
             if rows_expected < 1:
                 raise ParseError("form dimension must be positive", lineno)
+            header.field()
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
 
     if rows_expected:
         raise ParseError("missing Gram rows", len(text.splitlines()) or 1)
+    K = header.field()
     if diag_tokens is not None:
         tokens, lineno = diag_tokens
-        K = ensure_field(lineno)
         entries = [_parse_expression(t, K, lineno) for t in tokens]
         return QuadraticSpace.diagonal(K, entries)
     if row_tokens:
         n = len(row_tokens)
-        K = ensure_field(row_tokens[0][1])
         rows = []
         for tokens, lineno in row_tokens:
             if len(tokens) != n:

@@ -52,9 +52,7 @@ class TestFormCommands:
         a.write_text("diag 1 1 -1\n")
         b = tmp_path / "b.form"
         b.write_text("field 1 0 -2\nembedding 1\ndiag 1 1 -t\n")
-        code, out, _ = run(
-            capsys, "form", "check", "--jobs", "2", str(a), str(b), "diag(1,-1)"
-        )
+        code, out, _ = run(capsys, "form", "check", str(a), str(b), "diag(1,-1)")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith(str(a))
@@ -72,6 +70,15 @@ class TestFormCommands:
         code, _, err = run(capsys, "form", "check", str(f))
         assert code == 2
         assert "bad entry" in err
+
+    def test_factorization_bound_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "form", "commensurable",
+            "diag(1,1,1,-1)", "diag(1,1,1,-1000000000000000003)",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "1000000000000000003" in err
 
     def test_commensurable_pair(self, capsys, tmp_path):
         out_json = tmp_path / "report.json"
@@ -154,6 +161,14 @@ class TestHybridCommands:
         assert code == 0
         assert "HypothesesMet" in out
         assert len(calls) == 3
+
+    def test_verify_bad_field_is_an_input_error(self, capsys, tmp_path):
+        f = tmp_path / "reducible.cplx"
+        f.write_text(GPS_COMPLEX.replace("field 1 0", "field 1 0 -4"))
+        code, out, err = run(capsys, "hybrid", "verify", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 1: defining polynomial has rational root -2\n"
 
     def test_verify_structural_error(self, capsys, tmp_path):
         f = tmp_path / "broken.cplx"
@@ -266,8 +281,6 @@ class TestCoxeterCommands:
             capsys,
             "coxeter",
             "analyze",
-            "--jobs",
-            "4",
             "figures/fig6_d_536_linear.cox",
             "figures/fig5_a_compact_345.cox",
             "figures/fig4_h5_simplex.cox",

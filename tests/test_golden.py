@@ -2,11 +2,16 @@
 
 Each file under ``tests/golden/`` is the canonical ``--json`` report of one
 command on one bundled input.  Any change to a verdict, a certificate or the
-report layout shows up here as a diff.
+report layout shows up here as a diff.  The last tests run the CLI in a
+fresh interpreter: under ``python -O``, and to see which modules it loads.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +35,63 @@ def test_coxeter_analyze_report_matches_golden(figure, tmp_path, capsys):
     capsys.readouterr()
     expected = (GOLDEN / "coxeter_analyze" / f"{figure}.json").read_bytes()
     assert out.read_bytes() == expected
+
+
+def _run_cli_subprocess(*args: str) -> str:
+    """stdout of ``python <args>`` in a fresh interpreter that imports this
+    checkout's hyplat."""
+    import hyplat
+
+    src = str(Path(hyplat.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_goldens_hold_under_python_O():
+    """``python -O`` strips asserts; every certificate check must survive it."""
+    out = _run_cli_subprocess(
+        "-O", "-m", "hyplat.cli", "coxeter", "analyze", "--json", "-",
+        *(f"figures/{figure}.cox" for figure in FIGURES),
+    )
+    lines = out.split("\n")
+    blob = "\n".join(lines[lines.index("{"):])
+    # One report over all figures: the per-figure goldens, inputs merged and
+    # results concatenated in input order.
+    reports = [json.loads((GOLDEN / "coxeter_analyze" / f"{figure}.json").read_text())
+               for figure in FIGURES]
+    expected = dict(reports[0], inputs={}, results=[])
+    for report in reports:
+        expected["inputs"].update(report["inputs"])
+        expected["results"] += report["results"]
+    assert blob == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_commands_below_degree_four_do_not_import_sympy(tmp_path):
+    """sympy only decides irreducibility of ``field`` polynomials of degree
+    >= 4; integer kernels and every other verdict path are its own code."""
+    complex_file = tmp_path / "pair.cplx"
+    complex_file.write_text(
+        "field 1 0 -2\npattern gps\nshared diag 1 1 [1,1]\n"
+        "block N1 alpha 1\nblock N2 alpha 3\nglue N1 N2\n"
+    )
+    commands = [
+        ["form", "check", "diag(1,1,1,-1)", "diag(2,3,5,-7)"],
+        ["form", "commensurable", "diag(1,1,1,-1)", "diag(1,1,3,-3)"],
+        ["form", "commensurable", "diag(1,1,1,-1)", "diag(1,1,1,-1000000000000000003)"],
+        ["hybrid", "verify", str(complex_file)],
+        ["hybrid", "angle", "diag(1,1,1,-1)", "--e", "1,1,0,0", "--z", "1,0,0,0"],
+        ["coxeter", "analyze", "figures/fig4_h5_simplex.cox"],
+        ["links", "compose", "whitehead+chain3"],
+    ]
+    out = _run_cli_subprocess(
+        "-c",
+        "import sys\nfrom hyplat.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'sympy' in sys.modules)",
+    )
+    assert out.splitlines()[-1] == "[0, 0, 2, 0, 0, 0, 0] False"

@@ -61,14 +61,6 @@ def test_rref_and_kernel():
     assert all(not e for e in A.apply(ker[0]))
 
 
-def test_charpoly_number_field_matrix():
-    K = NumberField([-2, 0, 1])
-    t = K.gen
-    A = Matrix(K, [[t, 1], [1, -t]])
-    cp = A.charpoly()  # x^2 - tr x + det = x^2 - (t^2+1)... tr=0, det=-t^2-1=-3
-    assert cp[2] == 1 and cp[1] == 0 and cp[0] == -3
-
-
 def test_symmetric_diagonalize_hyperbolic_plane():
     G = Matrix(QQ, [[0, 1], [1, 0]])
     D, T = symmetric_diagonalize(G)

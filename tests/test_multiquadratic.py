@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyplat.algebra import polynomials as P
+from hyplat.algebra.arith import is_squarefree
 from hyplat.algebra.multiquadratic import (
     ImaginaryCompositum,
     MultiquadraticField,
     multiquadratic_field,
-    squarefree_int,
 )
 from hyplat.algebra.numberfield import QQ, NumberField, is_square, sign_at_embedding
 from hyplat.algebra.quadratic_ext import QuadraticExt
@@ -79,8 +79,8 @@ def test_validation():
         multiquadratic_field([0])
     with pytest.raises(ValueError):
         multiquadratic_field([1])
-    assert not squarefree_int(12)
-    assert squarefree_int(-15)
+    assert not is_squarefree(12)
+    assert is_squarefree(-15)
 
 
 def test_empty_generators_is_rationals():
