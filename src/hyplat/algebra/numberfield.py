@@ -41,8 +41,9 @@ class NumberField:
         Ascending integer coefficients of the monic defining polynomial.
     embedding:
         Index into the ascending list of real roots; defaults to the largest
-        real root.  (Multiquadratic composita built elsewhere use the
-        all-positive embedding, which is the largest root.)
+        real root, the all-positive embedding that multiquadratic composita
+        use.  Form and complex files default to index 0, the smallest root
+        (``hyplat.syntax.FieldHeader`` says why the two differ).
     """
 
     def __init__(

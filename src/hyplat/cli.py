@@ -13,7 +13,8 @@ Reports are deterministic: exact values rendered as rationals or
 polynomials in the field generator, canonical JSON (sorted keys, input
 digests, no timestamps), results in input order.  Exit codes: 0 on
 success, 1 only with ``--strict`` on an analysis-level negative verdict, 2
-on input errors.
+on input errors (one ``error:`` line), 3 on an internal error (one
+``internal error:`` line), never a traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -51,8 +53,8 @@ from .linkfields import (
     parse_composition_script,
 )
 from .quadform import COMMENSURABLE, commensurable, is_admissible, parse_form
-from .quadform import _parse_expression  # entry grammar shared with form files
 from .resources import bundled_path
+from .syntax import parse_entry, read_text
 
 __all__ = ["main"]
 
@@ -66,20 +68,25 @@ def _load_text(token: str) -> str:
     """Read ``token`` as a file, falling back to the bundled data dir."""
     p = Path(token)
     if p.is_file():
-        return p.read_text()
+        return read_text(p)
     if not p.is_absolute():
         q = bundled_path(token)
         if q.is_file():
-            return q.read_text()
+            return read_text(q)
     raise OSError(f"no such input file: {token}")
+
+
+def _split_entries(spec: str) -> list[str]:
+    """Comma-separated entries; commas inside ``[c0,c1,...]`` do not split."""
+    return [e.strip() for e in re.split(r",(?![^\[]*\])", spec)]
 
 
 def _load_form_text(token: str) -> str:
     """A form argument: inline ``diag(a,b,...)`` or a file path."""
     t = token.strip()
     if t.startswith("diag(") and t.endswith(")"):
-        entries = [e.strip() for e in t[len("diag(") : -1].split(",")]
-        if not all(entries):
+        entries = _split_entries(t[len("diag(") : -1])
+        if not all(re.fullmatch(r"[^\s#]+", e) for e in entries):
             raise HyplatError(f"bad inline form {token!r}")
         return "diag " + " ".join(entries) + "\n"
     return _load_text(token)
@@ -206,12 +213,12 @@ def _cmd_hybrid_verify(args):
 
 
 def _parse_vector(spec: str, field, dim: int):
-    entries = [e.strip() for e in spec.split(",")]
+    entries = _split_entries(spec)
     if len(entries) != dim:
         raise HyplatError(
             f"vector {spec!r} has {len(entries)} entries, the form has {dim}"
         )
-    return [_parse_expression(e, field, 1) for e in entries]
+    return [parse_entry(e, field, None) for e in entries]
 
 
 def _cmd_hybrid_angle(args):
@@ -317,17 +324,15 @@ def _cmd_coxeter_analyze(args):
 
 
 def _cmd_links_compose(args):
-    table = load_link_table(args.table) if args.table else load_link_table()
+    table = load_link_table(args.table)
     token = args.script
     p = Path(token)
     if p.is_file():
-        text = p.read_text()
-        created = parse_composition_script(text, table)
-        final = created[-1]
-        source = text
+        source = read_text(p)
+        final = parse_composition_script(source, table)[-1]
     else:
-        final = compose_inline(token, table)
         source = token
+        final = compose_inline(token, table)
     payload = field_report(final)
     payload["composition"] = _tree(final.composition)
     verdicts = {}
@@ -437,23 +442,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         lines, payload, negative, inputs = args.handler(args)
+        for line in lines:
+            print(line)
+        if args.json:
+            report = {
+                "command": args.command_name,
+                "version": __version__,
+                "inputs": inputs,
+            }
+            report.update(payload)
+            blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            if args.json == "-":
+                sys.stdout.write(blob)
+            else:
+                Path(args.json).write_text(blob)
     except (HyplatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in lines:
-        print(line)
-    if args.json:
-        report = {
-            "command": args.command_name,
-            "version": __version__,
-            "inputs": inputs,
-        }
-        report.update(payload)
-        blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.json == "-":
-            sys.stdout.write(blob)
-        else:
-            Path(args.json).write_text(blob)
+    except Exception as exc:  # a bug, not bad input: one line and its own code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 1 if (negative and args.strict) else 0
 
 

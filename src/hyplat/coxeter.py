@@ -40,6 +40,7 @@ from hyplat.errors import (
 # signature_at stays importable from here: perfbench/test_perfbench.py checks
 # that the benchmark's tracer wraps this binding.
 from hyplat.linalg import Matrix, signature_at, signature_profile  # noqa: F401
+from hyplat.syntax import directive_lines, parse_int
 
 __all__ = [
     "CoxeterDiagram",
@@ -185,10 +186,7 @@ def _parse_label(token: str, lineno: int) -> int | str:
             "dotted (ultraparallel) edges are out of scope; only intersecting "
             "or parallel walls are modeled"
         )
-    try:
-        m = int(token)
-    except ValueError:
-        raise ParseError(f"bad edge label {token!r}", lineno) from None
+    m = parse_int(token, "edge label", lineno)
     if m == 2:
         raise UnsupportedLabel(
             "label 2 encodes a right angle; omit the edge instead"
@@ -215,21 +213,14 @@ def parse_diagram(text: str) -> CoxeterDiagram:
     rank: int | None = None
     edges: list[tuple[int, int, int | str]] = []
     seen_pairs: set[tuple[int, int]] = set()
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    lineno = 1
+    for lineno, parts in directive_lines(text):
         if parts[0] == "vertices":
             if rank is not None:
                 raise ParseError("duplicate 'vertices' line", lineno)
             if len(parts) != 2:
                 raise ParseError("expected 'vertices N'", lineno)
-            try:
-                rank = int(parts[1])
-            except ValueError:
-                raise ParseError("vertex count must be an integer", lineno)
+            rank = parse_int(parts[1], "vertex count", lineno)
             if rank < 1:
                 raise ParseError("vertex count must be positive", lineno)
         elif parts[0] == "edge":
@@ -237,10 +228,7 @@ def parse_diagram(text: str) -> CoxeterDiagram:
                 raise ParseError("'vertices N' must come before edges", lineno)
             if len(parts) != 4:
                 raise ParseError("expected 'edge i j m'", lineno)
-            try:
-                i, j = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("edge endpoints must be integers", lineno)
+            i, j = (parse_int(p, "edge endpoint", lineno) for p in parts[1:3])
             if i == j:
                 raise ParseError(f"self-loop at vertex {i}", lineno)
             if not (1 <= i <= rank and 1 <= j <= rank):
@@ -256,9 +244,9 @@ def parse_diagram(text: str) -> CoxeterDiagram:
             seen_pairs.add(pair)
             edges.append((i, j, label))
         else:
-            raise ParseError(f"unknown directive {parts[0]!r}", lineno, col=1)
+            raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     if rank is None:
-        raise ParseError("missing 'vertices' line", len(lines) or 1)
+        raise ParseError("missing 'vertices' line", lineno)
     return CoxeterDiagram.from_edges(rank, edges)
 
 

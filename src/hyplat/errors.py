@@ -47,16 +47,12 @@ class XiInsideH(HyplatError):
 class ParseError(HyplatError):
     """Input text could not be parsed.
 
-    Carries ``line`` and ``col`` (1-based) when known; ``col`` may be None
-    for whole-line problems.
+    Carries the 1-based ``line`` when known.
     """
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.col = col
-        prefix = ""
-        if line is not None:
-            prefix = f"line {line}" + (f", col {col}" if col is not None else "") + ": "
+        prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
 
 

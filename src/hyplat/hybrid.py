@@ -22,7 +22,6 @@ closed form q(P_Z e)/q(e).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from hyplat.algebra.numberfield import (
@@ -46,13 +45,13 @@ from hyplat.quadform import (
     NOT_SIMILAR,
     SIMILAR,
     UNKNOWN,
-    FieldHeader,
     QuadraticSpace,
     SimilarityVerdict,
     direct_sum,
     is_admissible,
     similar,
 )
+from hyplat.syntax import FieldHeader, directive_lines, parse_entry, parse_int
 
 __all__ = [
     "BuildingBlock",
@@ -118,12 +117,6 @@ class BuildingBlock:
             )
 
     @classmethod
-    def from_parts(
-        cls, label: str, alpha, shared: QuadraticSpace, color: int | None = None
-    ) -> "BuildingBlock":
-        return cls(label, shared.field.coerce(alpha), shared, color)
-
-    @classmethod
     def from_ambient(
         cls,
         label: str,
@@ -180,9 +173,6 @@ class BlockComplex:
     def field(self) -> NumberField:
         return next(iter(self.blocks.values())).field
 
-    def block(self, label: str) -> BuildingBlock:
-        return self.blocks[label]
-
     def glue_map(self, gluing: Gluing) -> "GlueMap":
         b1, b2 = self.blocks[gluing.left], self.blocks[gluing.right]
         return GlueMap.from_blocks(b1, b2)
@@ -209,14 +199,6 @@ class GlueMap:
                 "hypersurface form"
             )
         return cls(b1.field, b2.alpha / b1.alpha, b1.dim)
-
-    @classmethod
-    def from_ratio(cls, field: NumberField, ratio, ambient_dim: int) -> "GlueMap":
-        return cls(field, field.coerce(ratio), ambient_dim)
-
-    @property
-    def is_rational_map(self) -> bool:
-        return self.ratio_sqrt is not None
 
     @property
     def ratio_is_square(self) -> bool:
@@ -572,19 +554,6 @@ def finiteness_verdict(complex: BlockComplex) -> FinitenessReport:
 # ---------------------------------------------------------------------------
 
 
-def _parse_entry(token: str, field: NumberField, lineno: int, col: int):
-    """An entry: a rational like -3/2, or [c0,c1,...] power-basis coords."""
-    try:
-        if token.startswith("["):
-            if not token.endswith("]"):
-                raise ValueError("unterminated coordinate vector")
-            coords = [Fraction(p) for p in token[1:-1].split(",") if p]
-            return field.element(coords)
-        return field.from_fraction(Fraction(token))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad entry {token!r}: {exc}", lineno, col) from None
-
-
 class _PendingBlock:
     __slots__ = ("label", "alpha", "color", "diag", "lineno")
 
@@ -612,6 +581,9 @@ def parse_complex(text: str) -> BlockComplex:
         alpha 2
         glue N1 N2
         glue N2 N1 label a    # labels only matter for the gl pattern
+
+    Entries (``shared diag``, block ``diag``, ``alpha``) follow
+    ``hyplat.syntax``, as in form files.
     """
     header = FieldHeader()
     pattern: str | None = None
@@ -638,17 +610,10 @@ def parse_complex(text: str) -> BlockComplex:
             return None
         if len(tokens) != 2 or tokens[0] != "color":
             raise ParseError("trailing tokens; expected 'color <c>'", lineno)
-        try:
-            return int(tokens[1])
-        except ValueError:
-            raise ParseError("color must be an integer", lineno)
+        return parse_int(tokens[1], "color", lineno)
 
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    lineno = 1
+    for lineno, parts in directive_lines(text):
         head = parts[0]
         if head in ("field", "embedding"):
             close_block(lineno)
@@ -665,10 +630,7 @@ def parse_complex(text: str) -> BlockComplex:
             K = ensure_field(lineno)
             if len(parts) < 3 or parts[1] != "diag":
                 raise ParseError("expected 'shared diag <entries>'", lineno)
-            entries = [
-                _parse_entry(tok, K, lineno, col)
-                for col, tok in enumerate(parts[2:], start=3)
-            ]
+            entries = [parse_entry(tok, K, lineno) for tok in parts[2:]]
             shared = QuadraticSpace.diagonal(K, entries)
         elif head == "block":
             close_block(lineno)
@@ -683,7 +645,7 @@ def parse_complex(text: str) -> BlockComplex:
             if rest and rest[0] == "alpha":
                 if len(rest) < 2:
                     raise ParseError("alpha needs a value", lineno)
-                blk.alpha = _parse_entry(rest[1], K, lineno, 4)
+                blk.alpha = parse_entry(rest[1], K, lineno)
                 blk.color = parse_color(rest[2:], lineno)
                 pending.append(blk)
             else:
@@ -698,17 +660,14 @@ def parse_complex(text: str) -> BlockComplex:
                 raise ParseError("duplicate alpha for this block", lineno)
             if len(parts) != 2:
                 raise ParseError("alpha needs exactly one value", lineno)
-            open_block.alpha = _parse_entry(parts[1], K, lineno, 2)
+            open_block.alpha = parse_entry(parts[1], K, lineno)
         elif head == "diag":
             K = ensure_field(lineno)
             if open_block is None:
                 raise ParseError("'diag' outside a block", lineno)
             if open_block.diag is not None:
                 raise ParseError("duplicate form for this block", lineno)
-            open_block.diag = [
-                _parse_entry(tok, K, lineno, col)
-                for col, tok in enumerate(parts[1:], start=2)
-            ]
+            open_block.diag = [parse_entry(tok, K, lineno) for tok in parts[1:]]
         elif head == "glue":
             close_block(lineno)
             if len(parts) not in (3, 5):
@@ -727,14 +686,14 @@ def parse_complex(text: str) -> BlockComplex:
                     )
             gluings.append(Gluing(parts[1], parts[2], lab))
         else:
-            raise ParseError(f"unknown directive {head!r}", lineno, col=1)
-    close_block(len(lines) or 1)
+            raise ParseError(f"unknown directive {head!r}", lineno)
+    close_block(lineno)
 
     if header.coeffs is None:
-        raise ParseError("missing 'field' line", len(lines) or 1)
+        raise ParseError("missing 'field' line", lineno)
     if pattern is None:
-        raise ParseError("missing 'pattern' line", len(lines) or 1)
-    K = ensure_field(len(lines) or 1)
+        raise ParseError("missing 'pattern' line", lineno)
+    K = ensure_field(lineno)
     blocks: dict[str, BuildingBlock] = {}
     for blk in pending:
         if blk.diag is not None:
@@ -751,5 +710,5 @@ def parse_complex(text: str) -> BlockComplex:
         except NotAdmissible as exc:
             raise ParseError(str(exc), blk.lineno) from exc
     if not blocks:
-        raise ParseError("complex declares no blocks", len(lines) or 1)
+        raise ParseError("complex declares no blocks", lineno)
     return BlockComplex(pattern, blocks, gluings)

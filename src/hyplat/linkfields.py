@@ -23,12 +23,14 @@ Everything in this module is immutable and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 from .algebra.arith import is_squarefree
 from .algebra.multiquadratic import multiquadratic_field
 from .errors import CertificateError, NoBeltAvailable, ParseError
 from .resources import bundled_path
+from .syntax import directive_lines, parse_int, read_text
 
 __all__ = [
     "INCOMMENSURABLE",
@@ -301,21 +303,14 @@ def field_report(m: BeltedManifold) -> dict:
 def parse_link_table(text: str) -> dict[str, ArithmeticLinkRecord]:
     """Parse ``link <name> disc <d> belts <k>`` lines (# comments allowed)."""
     table: dict[str, ArithmeticLinkRecord] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in directive_lines(text):
         if len(parts) != 6 or parts[0] != "link" or parts[2] != "disc" or parts[4] != "belts":
             raise ParseError("expected 'link <name> disc <d> belts <k>'", lineno)
         name = parts[1]
         if name in table:
             raise ParseError(f"duplicate link name {name!r}", lineno)
-        try:
-            disc = int(parts[3])
-            belts = int(parts[5])
-        except ValueError:
-            raise ParseError("disc and belts must be integers", lineno) from None
+        disc = parse_int(parts[3], "disc", lineno)
+        belts = parse_int(parts[5], "belts", lineno)
         try:
             table[name] = ArithmeticLinkRecord(name, disc, belts)
         except ValueError as exc:
@@ -326,7 +321,7 @@ def parse_link_table(text: str) -> dict[str, ArithmeticLinkRecord]:
 def load_link_table(path: str | Path | None = None) -> dict[str, ArithmeticLinkRecord]:
     """Load a link table file, defaulting to the bundled one."""
     p = Path(path) if path is not None else bundled_path(LINK_TABLE_FILE)
-    return parse_link_table(p.read_text())
+    return parse_link_table(read_text(p))
 
 
 def _resolve(
@@ -336,10 +331,7 @@ def _resolve(
     lineno: int,
 ) -> BeltedManifold:
     if token.startswith("#"):
-        try:
-            k = int(token[1:])
-        except ValueError:
-            raise ParseError(f"bad reference {token!r}", lineno) from None
+        k = parse_int(token[1:], "reference", lineno)
         if not 1 <= k <= len(created):
             raise ParseError(
                 f"reference {token!r} is out of range (have {len(created)})", lineno
@@ -362,13 +354,8 @@ def parse_composition_script(
     if table is None:
         table = load_link_table()
     created: list[BeltedManifold] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        # '#' also starts reference tokens like '#2', so comment stripping
-        # must not eat those.
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        parts = line.split()
+    lineno = 1
+    for lineno, parts in directive_lines(text):
         if parts[0] == "sum":
             if len(parts) != 3:
                 raise ParseError("expected 'sum <ref> <ref>'", lineno)
@@ -380,11 +367,8 @@ def parse_composition_script(
                 raise ParseError("expected 'opaque <degree> [belts <b>]'", lineno)
             if len(parts) == 4 and parts[2] != "belts":
                 raise ParseError("expected 'opaque <degree> [belts <b>]'", lineno)
-            try:
-                degree = int(parts[1])
-                belts = int(parts[3]) if len(parts) == 4 else 1
-            except ValueError:
-                raise ParseError("degree and belts must be integers", lineno) from None
+            degree = parse_int(parts[1], "degree", lineno)
+            belts = parse_int(parts[3], "belts", lineno) if len(parts) == 4 else 1
             try:
                 created.append(opaque_manifold(degree, belts))
             except ValueError as exc:
@@ -392,24 +376,8 @@ def parse_composition_script(
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     if not created:
-        raise ParseError("script creates no manifolds", max(1, len(text.splitlines())))
+        raise ParseError("script creates no manifolds", lineno)
     return created
-
-
-def _strip_comment(raw: str) -> str:
-    """Remove a trailing comment: a '#' that starts a word opens a
-    reference like '#2', so only '#' preceded by whitespace (or at the
-    start) and followed by non-reference text counts."""
-    out = []
-    for i, ch in enumerate(raw):
-        if ch == "#":
-            prev_ws = i == 0 or raw[i - 1].isspace()
-            rest = raw[i + 1 :]
-            is_ref = rest[:1].isdigit()
-            if prev_ws and not is_ref:
-                break
-        out.append(ch)
-    return "".join(out)
 
 
 def compose_inline(
@@ -419,14 +387,7 @@ def compose_inline(
     if table is None:
         table = load_link_table()
     names = [t.strip() for t in expr.split("+")]
-    if not names or any(not n for n in names):
+    if not all(names):
         raise ParseError(f"bad composition expression {expr!r}", 1)
-    manifolds = []
-    for n in names:
-        if n not in table:
-            raise ParseError(f"unknown link {n!r}", 1)
-        manifolds.append(manifold_from_record(table[n]))
-    result = manifolds[0]
-    for m in manifolds[1:]:
-        result = belted_sum(result, m)
-    return result
+    manifolds = [_resolve(name, table, [], 1) for name in names]
+    return reduce(belted_sum, manifolds)

@@ -11,7 +11,6 @@ obstruction.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -36,6 +35,7 @@ from hyplat.linalg import (
     symmetric_diagonalize,
     vec,
 )
+from hyplat.syntax import FieldHeader, directive_lines, parse_entry, parse_int
 from hyplat.errors import (
     CertificateError,
     DegenerateRestriction,
@@ -66,7 +66,6 @@ __all__ = [
     "isometric_over_Q",
     "similar",
     "commensurable",
-    "FieldHeader",
     "parse_form",
 ]
 
@@ -737,100 +736,6 @@ def commensurable(s1: QuadraticSpace, s2: QuadraticSpace) -> CommensurabilityVer
 # ---------------------------------------------------------------------------
 
 
-def _parse_expression(token: str, field: NumberField, lineno: int) -> FieldElement:
-    """An entry: a rational like -3/2 or a polynomial a+b*t+c*t^2 in the
-    field generator t (no spaces inside a single entry)."""
-    parts = [p for p in re.split(r"(?=[+-])", token) if p]
-    if not parts:
-        raise ParseError(f"empty entry {token!r}", lineno)
-    acc = field.zero
-    for part in parts:
-        sign = 1
-        if part[0] == "+":
-            part = part[1:]
-        elif part[0] == "-":
-            sign = -1
-            part = part[1:]
-        if not part:
-            raise ParseError(f"dangling sign in entry {token!r}", lineno)
-        coeff = Fraction(sign)
-        power = 0
-        try:
-            for factor in part.split("*"):
-                if factor.startswith("t"):
-                    if factor == "t":
-                        power += 1
-                    elif factor[1:2] == "^":
-                        power += int(factor[2:])
-                    else:
-                        raise ValueError(f"bad generator power {factor!r}")
-                elif factor:
-                    coeff *= Fraction(factor)
-                else:
-                    raise ValueError("empty factor")
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad entry {token!r}: {exc}", lineno) from None
-        if power and field.degree == 1:
-            raise ParseError(
-                f"entry {token!r} uses the generator t but the field is Q", lineno
-            )
-        acc = acc + field.gen**power * field.from_fraction(coeff)
-    return acc
-
-
-class FieldHeader:
-    """The ``field`` and ``embedding`` lines shared by form and complex files.
-
-    ``field`` lists the descending integer coefficients of the monic defining
-    polynomial; ``embedding`` indexes its ascending real roots (default 0, the
-    smallest).  Both must come before the first entry that needs the field,
-    and every problem, a bad polynomial included, is a ParseError.
-    """
-
-    def __init__(self):
-        self.coeffs: list[int] | None = None
-        self.embedding = 0
-        self.lineno = 0
-        self._field: NumberField | None = None
-
-    def read(self, parts: list[str], lineno: int) -> None:
-        """Take one ``field`` or ``embedding`` line, already split."""
-        head = parts[0]
-        if head == "field" and self.coeffs is not None:
-            raise ParseError("duplicate 'field' line", lineno)
-        if self._field is not None:
-            raise ParseError(f"'{head}' must come before the form", lineno)
-        if head == "field":
-            try:
-                self.coeffs = [int(p) for p in parts[1:]]
-            except ValueError:
-                raise ParseError("field coefficients must be integers", lineno) from None
-            if len(self.coeffs) < 2:
-                raise ParseError("field needs at least two coefficients", lineno)
-            self.lineno = lineno
-        else:
-            if len(parts) != 2:
-                raise ParseError("expected 'embedding <index>'", lineno)
-            try:
-                self.embedding = int(parts[1])
-            except ValueError:
-                raise ParseError("embedding index must be an integer", lineno) from None
-
-    def field(self) -> NumberField:
-        """The declared field, the rationals without a ``field`` line."""
-        if self._field is None:
-            if self.coeffs is None:
-                self._field = QQ
-            else:
-                try:
-                    self._field = NumberField(
-                        list(reversed(self.coeffs)), embedding=self.embedding
-                    )
-                except ValueError as exc:
-                    raise ParseError(str(exc), self.lineno) from None
-        return self._field
-
-
 def parse_form(text: str) -> QuadraticSpace:
     """Parse the quadratic-form file format.
 
@@ -845,62 +750,47 @@ def parse_form(text: str) -> QuadraticSpace:
         -1/2 1 t
         0 t 1
 
-    Entries are rationals or polynomial expressions in the generator ``t``.
+    Entries follow ``hyplat.syntax``: rationals, polynomials in the
+    generator ``t`` or ``[c0,c1,...]`` power-basis coordinates.
     """
     header = FieldHeader()
-    diag_tokens: tuple[list[str], int] | None = None
-    row_tokens: list[tuple[list[str], int]] = []
-    rows_expected = 0
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if rows_expected:
-            row_tokens.append((parts, lineno))
-            rows_expected -= 1
+    entries: list[FieldElement] | None = None  # of a diag line
+    rows: list[list[FieldElement]] | None = None  # of a form block
+    dim = 0
+    lineno = 1
+    for lineno, parts in directive_lines(text):
+        if rows is not None and len(rows) < dim:
+            if len(parts) != dim:
+                raise ParseError(
+                    f"expected {dim} entries per row, got {len(parts)}", lineno
+                )
+            rows.append([parse_entry(t, header.field(), lineno) for t in parts])
             continue
         head = parts[0]
         if head in ("field", "embedding"):
             header.read(parts, lineno)
+        elif head not in ("diag", "form"):
+            raise ParseError(f"unknown directive {head!r}", lineno)
+        elif entries is not None or rows is not None:
+            raise ParseError("only one form per file", lineno)
         elif head == "diag":
-            if diag_tokens or row_tokens:
-                raise ParseError("only one form per file", lineno)
             if len(parts) < 2:
                 raise ParseError("'diag' needs at least one entry", lineno)
-            header.field()
-            diag_tokens = (parts[1:], lineno)
-        elif head == "form":
-            if diag_tokens or row_tokens:
-                raise ParseError("only one form per file", lineno)
+            entries = [parse_entry(t, header.field(), lineno) for t in parts[1:]]
+        else:
             if len(parts) != 2:
                 raise ParseError("expected 'form <dimension>'", lineno)
-            try:
-                rows_expected = int(parts[1])
-            except ValueError:
-                raise ParseError("form dimension must be an integer", lineno)
-            if rows_expected < 1:
+            dim = parse_int(parts[1], "form dimension", lineno)
+            if dim < 1:
                 raise ParseError("form dimension must be positive", lineno)
             header.field()
-        else:
-            raise ParseError(f"unknown directive {parts[0]!r}", lineno)
+            rows = []
 
-    if rows_expected:
-        raise ParseError("missing Gram rows", len(text.splitlines()) or 1)
     K = header.field()
-    if diag_tokens is not None:
-        tokens, lineno = diag_tokens
-        entries = [_parse_expression(t, K, lineno) for t in tokens]
+    if entries is not None:
         return QuadraticSpace.diagonal(K, entries)
-    if row_tokens:
-        n = len(row_tokens)
-        rows = []
-        for tokens, lineno in row_tokens:
-            if len(tokens) != n:
-                raise ParseError(
-                    f"expected {n} entries per row, got {len(tokens)}", lineno
-                )
-            rows.append([_parse_expression(t, K, lineno) for t in tokens])
-        return QuadraticSpace(K, Matrix(K, rows))
-    raise ParseError("file contains no form", len(text.splitlines()) or 1)
+    if rows is None:
+        raise ParseError("file contains no form", lineno)
+    if len(rows) < dim:
+        raise ParseError("missing Gram rows", lineno)
+    return QuadraticSpace(K, Matrix(K, rows))

@@ -379,6 +379,42 @@ class TestReports:
         assert report["command"] == "form check"
         assert "inputs" in report and "version" in report
 
+    def test_unwritable_json_path_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "dir" / "r.json"
+        code, out, err = run(capsys, "form", "check", "diag(1,-1)", "--json", str(target))
+        assert code == 2
+        assert out.startswith("diag(1,-1): admissible")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(target) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["form", "check", "{f}"],
+            ["coxeter", "analyze", "{f}"],
+            ["hybrid", "verify", "{f}"],
+            ["links", "compose", "{f}"],
+            ["links", "compose", "whitehead+chain3", "--table", "{f}"],
+        ],
+    )
+    def test_non_utf8_input_is_an_input_error(self, capsys, tmp_path, argv):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"# caf\xe9\nvertices 2\n")
+        code, out, err = run(capsys, *[a.format(f=f) for a in argv])
+        assert (code, out) == (2, "")
+        assert err == f"error: {f}: not UTF-8 text (byte 0xe9 at offset 5)\n"
+
+    def test_unexpected_exception_exits_3_with_one_line(self, capsys, monkeypatch):
+        import hyplat.cli
+
+        def boom(args):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(hyplat.cli, "_cmd_form_check", boom)
+        code, out, err = run(capsys, "form", "check", "diag(1,-1)")
+        assert (code, out) == (3, "")
+        assert err == "internal error: RuntimeError: handler bug\n"
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["form"])

@@ -56,19 +56,19 @@ def _subspace(field, n, rows):
 
 
 class TestBuildingBlock:
-    def test_from_parts_builds_admissible_ambient(self):
-        b = BuildingBlock.from_parts("N1", 1, _shared3())
+    def test_constructor_builds_admissible_ambient(self):
+        b = BuildingBlock("N1", 1, _shared3())
         assert b.ambient.signature() == (3, 1, 0)
         assert b.dim == 4
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(NotAdmissible):
-            BuildingBlock.from_parts("N1", -1, _shared3())
+            BuildingBlock("N1", -1, _shared3())
 
     def test_inadmissible_shared_rejected(self):
         bad = QuadraticSpace.diagonal(QQ, [1, -1, -1])
         with pytest.raises(NotAdmissible):
-            BuildingBlock.from_parts("N1", 1, bad)
+            BuildingBlock("N1", 1, bad)
 
     def test_from_ambient_normalizes(self):
         space = _lorentz4()
@@ -82,18 +82,18 @@ class TestBuildingBlock:
             BuildingBlock.from_ambient("N1", _lorentz4(), [0, 0, 0, 1])
 
     def test_glue_map_ratio(self):
-        b1 = BuildingBlock.from_parts("N1", 1, _shared3())
-        b2 = BuildingBlock.from_parts("N2", 2, _shared3())
+        b1 = BuildingBlock("N1", 1, _shared3())
+        b2 = BuildingBlock("N2", 2, _shared3())
         g = GlueMap.from_blocks(b1, b2)
         assert g.ratio == Fraction(2)
-        assert not g.is_rational_map
-        g2 = GlueMap.from_blocks(b1, BuildingBlock.from_parts("N4", 4, _shared3()))
-        assert g2.is_rational_map and g2.ratio_sqrt == Fraction(2)
+        assert not g.ratio_is_square
+        g2 = GlueMap.from_blocks(b1, BuildingBlock("N4", 4, _shared3()))
+        assert g2.ratio_is_square and g2.ratio_sqrt == Fraction(2)
 
     def test_glue_map_requires_identical_shared_forms(self):
-        b1 = BuildingBlock.from_parts("N1", 1, _shared3())
+        b1 = BuildingBlock("N1", 1, _shared3())
         other = QuadraticSpace.diagonal(QQ, [1, 2, -1])
-        b2 = BuildingBlock.from_parts("N2", 1, other)
+        b2 = BuildingBlock("N2", 1, other)
         with pytest.raises(MalformedComplex):
             GlueMap.from_blocks(b1, b2)
 
@@ -105,7 +105,7 @@ class TestBuildingBlock:
 
 class TestTransport:
     def setup_method(self):
-        self.glue = GlueMap.from_ratio(QQ, 2, 4)
+        self.glue = GlueMap(QQ, 2, 4)
 
     def test_xi_equal_wall_normal_is_rational(self):
         U = _subspace(QQ, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
@@ -126,7 +126,7 @@ class TestTransport:
         assert verdict.status == RATIONAL
 
     def test_square_ratio_always_rational(self):
-        glue = GlueMap.from_ratio(QQ, Fraction(9, 4), 4)
+        glue = GlueMap(QQ, Fraction(9, 4), 4)
         U = _subspace(QQ, 4, [[0, 0, 1, 0]])
         verdict = transported_subspace_rational(glue, U, [2, 5, 7, 11])
         assert verdict.status == RATIONAL
@@ -146,8 +146,8 @@ class TestTransport:
     def test_transport_over_real_quadratic_field(self):
         K = NumberField([-2, 0, 1])  # Q(sqrt 2)
         t = K.gen
-        glue = GlueMap.from_ratio(K, t, 3)  # sqrt(t) generates a degree-4 field
-        assert not glue.is_rational_map
+        glue = GlueMap(K, t, 3)  # sqrt(t) generates a degree-4 field
+        assert not glue.ratio_is_square
         U = Subspace(K, 3, [[0, 1, 0]])
         assert transported_subspace_rational(glue, U, [1, 0, 0]).status == RATIONAL
         assert transported_subspace_rational(glue, U, [1, 0, 1]).status == IRRATIONAL
@@ -193,7 +193,7 @@ def _membership_oracle(U: Subspace, xi) -> str:
 )
 def test_transport_matches_membership_oracle(data, ratio):
     n = data.draw(st.integers(min_value=2, max_value=4), label="ambient dim")
-    glue = GlueMap.from_ratio(QQ, ratio, n)
+    glue = GlueMap(QQ, ratio, n)
     rows = data.draw(
         st.lists(
             st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1),
@@ -378,7 +378,7 @@ def test_angle_range_for_spacelike_lines(data):
 def _blocks(alphas, shared=None):
     shared = shared or _shared3()
     return {
-        f"N{i}": BuildingBlock.from_parts(f"N{i}", a, shared)
+        f"N{i}": BuildingBlock(f"N{i}", a, shared)
         for i, a in enumerate(alphas, start=1)
     }
 
@@ -440,9 +440,9 @@ class TestValidate:
     def test_gl_ok(self):
         shared = _shared3()
         blocks = {
-            "E": BuildingBlock.from_parts("E", 1, shared, color=0),
-            "P1": BuildingBlock.from_parts("P1", 2, shared, color=1),
-            "P2": BuildingBlock.from_parts("P2", 3, shared, color=1),
+            "E": BuildingBlock("E", 1, shared, color=0),
+            "P1": BuildingBlock("P1", 2, shared, color=1),
+            "P2": BuildingBlock("P2", 3, shared, color=1),
         }
         gluings = [
             Gluing("E", "P1", "a"),
@@ -458,9 +458,9 @@ class TestValidate:
     def test_gl_missing_label(self):
         shared = _shared3()
         blocks = {
-            "E": BuildingBlock.from_parts("E", 1, shared, color=0),
-            "P1": BuildingBlock.from_parts("P1", 2, shared, color=1),
-            "P2": BuildingBlock.from_parts("P2", 3, shared, color=1),
+            "E": BuildingBlock("E", 1, shared, color=0),
+            "P1": BuildingBlock("P1", 2, shared, color=1),
+            "P2": BuildingBlock("P2", 3, shared, color=1),
         }
         gluings = [
             Gluing("E", "P1", "a"),
@@ -476,8 +476,8 @@ class TestValidate:
     def test_gl_needs_singleton_color_class(self):
         shared = _shared3()
         blocks = {
-            "E": BuildingBlock.from_parts("E", 1, shared, color=0),
-            "F": BuildingBlock.from_parts("F", 2, shared, color=0),
+            "E": BuildingBlock("E", 1, shared, color=0),
+            "F": BuildingBlock("F", 2, shared, color=0),
         }
         gluings = [
             Gluing("E", "F", "a"),
@@ -523,8 +523,8 @@ class TestFiniteness:
         cx = BlockComplex("general", dict(blocks), [Gluing("N1", "N2")])
         assert finiteness_verdict(cx).verdict == HYPOTHESES_MET
         grown = dict(blocks)
-        grown["M1"] = BuildingBlock.from_parts("M1", 4, _shared3())
-        grown["M2"] = BuildingBlock.from_parts("M2", 9, _shared3())
+        grown["M1"] = BuildingBlock("M1", 4, _shared3())
+        grown["M2"] = BuildingBlock("M2", 9, _shared3())
         cx2 = BlockComplex(
             "general",
             grown,
@@ -548,8 +548,8 @@ class TestFiniteness:
         # negative at the chosen (larger) embedding, positive at the other
         shared = QuadraticSpace.diagonal(K, [1, 1, -t])
         blocks = {
-            "N1": BuildingBlock.from_parts("N1", 1, shared),
-            "N2": BuildingBlock.from_parts("N2", 3 + t, shared),
+            "N1": BuildingBlock("N1", 1, shared),
+            "N2": BuildingBlock("N2", 3 + t, shared),
         }
         cx = BlockComplex("gps", blocks, [Gluing("N1", "N2")])
         rep = finiteness_verdict(cx)
