@@ -7,6 +7,10 @@ is needed (signatures, positivity, hyperboloid membership).  Elements are
 coordinate vectors over the power basis 1, t, ..., t^(d-1) with Fraction
 entries; all arithmetic is exact.
 
+Over a totally real field `is_square` decides squares exactly: the traces of
+an integral multiple of a square root are rational integers, which interval
+enclosures narrower than 1 determine, and squaring verifies the root.
+
 The rationals are the degree-1 field Q[x]/(x); `QQ` below is the shared
 instance.
 """
@@ -14,11 +18,11 @@ instance.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt, lcm
 from typing import Iterable, Sequence
 
 from hyplat.algebra import polynomials as P
-from hyplat.errors import DivisionByZero, FieldMismatch
+from hyplat.errors import DivisionByZero, FieldMismatch, NotTotallyReal
 
 __all__ = [
     "NumberField",
@@ -79,6 +83,7 @@ class NumberField:
         self.chosen_embedding: int = embedding % len(self.real_roots)
         # Mutable cache of progressively refined isolating intervals.
         self._intervals: list[tuple[Fraction, Fraction]] = list(self.real_roots)
+        self._trace_inv: list[list[Fraction]] | None = None
 
     # -- identity ----------------------------------------------------------
 
@@ -149,26 +154,27 @@ class NumberField:
 
     # -- embeddings ---------------------------------------------------------
 
-    def _interval(self, j: int) -> tuple[Fraction, Fraction]:
-        return self._intervals[j]
-
-    def _refine(self, j: int) -> tuple[Fraction, Fraction]:
+    def _refine(self, j: int, width: Fraction | None = None) -> tuple[Fraction, Fraction]:
+        """Shrink root j's interval below `width` (default: by 16x) and keep it."""
         lo, hi = self._intervals[j]
         if lo != hi:
-            width = (hi - lo) / 16
-            lo, hi = P.refine_interval(self.poly, lo, hi, width)
+            lo, hi = P.refine_interval(self.poly, lo, hi, width or (hi - lo) / 16)
             self._intervals[j] = (lo, hi)
         return lo, hi
 
-    def root_approx(self, j: int | None = None, digits: int = 15) -> Fraction:
-        """Rational approximation of the j-th real root, |err| <= 10^-digits."""
-        if j is None:
-            j = self.chosen_embedding
-        tol = Fraction(1, 10**digits)
-        lo, hi = self._intervals[j]
-        while hi - lo > tol:
-            lo, hi = self._refine(j)
-        return (lo + hi) / 2
+    def _trace_inverse(self) -> list[list[Fraction]]:
+        """Inverse of the integer trace matrix (Tr t^(i+k)), det = disc f."""
+        if self._trace_inv is None:
+            d, power, traces = self.degree, self.one, []
+            for _ in range(2 * d - 1):
+                m = multiplication_matrix(power)
+                traces.append(sum(m[i][i] for i in range(d)))
+                power = power * self.gen
+            red, _ = P.rational_rref(
+                [traces[i : i + d] + [int(i == k) for k in range(d)] for i in range(d)]
+            )
+            self._trace_inv = [row[d:] for row in red]
+        return self._trace_inv
 
 
 class FieldElement:
@@ -318,10 +324,9 @@ def sign_at_embedding(a: FieldElement, j: int | None = None) -> int:
     if not a:
         return 0
     g = P.poly(a.coords)
-    lo, hi = K._interval(j)
+    lo, hi = K._intervals[j]
     if lo == hi:
-        v = P.poly_eval(g, lo)
-        return 0 if v == 0 else (1 if v > 0 else -1)
+        return P.poly_sign(g, lo)
     while True:
         mlo, mhi = P.interval_eval(g, lo, hi)
         if mlo > 0:
@@ -342,7 +347,7 @@ def approx_at_embedding(
     if not g:
         return Fraction(0)
     tol = Fraction(1, 10**digits)
-    lo, hi = K._interval(j)
+    lo, hi = K._intervals[j]
     if lo == hi:
         return P.poly_eval(g, lo)
     while True:
@@ -409,43 +414,48 @@ def rational_square_root(q: Fraction | int) -> Fraction | None:
     return None
 
 
-def _cf_rationalize(x: Fraction, max_den: int) -> Fraction:
-    """Best continued-fraction approximation with denominator <= max_den."""
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    num, den = x.numerator, x.denominator
-    while den:
-        a = num // den
-        num, den = den, num - a * den
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > max_den:
-            return Fraction(p0, q0)
-    return Fraction(p1, q1)
+def _fixed_mul(x: tuple[int, int], y: tuple[int, int], p: int) -> tuple[int, int]:
+    """Product of intervals [x0, x1] * [y0, y1] in fixed point 2^-p, rounded out."""
+    c = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return min(c) >> p, -(-max(c) >> p)
 
 
-def _sqrt_approx(q: Fraction, bits: int) -> Fraction:
-    """Rational approximation of sqrt(q) for q >= 0, error < 2^-bits."""
-    if q == 0:
-        return Fraction(0)
-    shift = 2 * bits + (q.denominator.bit_length() + q.numerator.bit_length())
-    scaled = (q.numerator << (2 * shift)) // q.denominator
-    return Fraction(isqrt(scaled), 1 << shift)
+def _trace_terms(K: NumberField, A: P.Poly) -> tuple[list[list[tuple[int, int]]], int]:
+    """Enclosures [L, H] * 2^-p of sqrt(A(r_j)) * r_j^k for every real root
+    r_j and every k < d, fine enough that sum_j (H - L) < 2^p for each k."""
+    d, p = K.degree, 64
+    while True:
+        terms = []
+        for j in range(d):
+            lo, hi = K._refine(j, Fraction(1, 1 << p))
+            alo, ahi = P.interval_eval(A, lo, hi)
+            row = [(isqrt(max(floor(alo * 4**p), 0)), isqrt(ceil(ahi * 4**p)) + 1)]
+            root = (floor(lo * 2**p), ceil(hi * 2**p))
+            for _ in range(d - 1):
+                row.append(_fixed_mul(row[-1], root, p))
+            terms.append(row)
+        if all(sum(H - L for L, H in col) < 1 << p for col in zip(*terms)):
+            return terms, p
+        p *= 2
 
 
-def is_square(a: FieldElement, height_bound: int = 10**6) -> FieldElement | None:
-    """An exact square root of `a` in its field, or None if none exists.
+def is_square(a: FieldElement) -> FieldElement | None:
+    """An exact square root of `a` in its field, or None if `a` is no square.
 
-    Strategy: necessary sign checks at every real embedding, then numeric
-    square roots per embedding, every sign pattern (global sign fixed), a
-    linear solve back to power-basis coordinates, continued-fraction
-    rationalization bounded by `height_bound`, and exact verification by
-    squaring.  Verification makes false positives impossible; the precision /
-    height ladder below makes the search complete for totally real fields at
-    this package's scales.  For a field with complex embeddings the search
-    can miss a genuine square root (it then returns None); no such field is
-    constructed by this package.
+    A decision over totally real fields; over any other field of degree > 1
+    it raises NotTotallyReal.  Let q be the common denominator of a's
+    coordinates.  If b^2 = a then b' = q*b satisfies b'^2 = q*(q*a), which
+    has integral coordinates, so b' is an algebraic integer and each trace
+    Tr(b' t^k) = sum_j e_j sqrt(q^2 a(r_j)) r_j^k is a rational integer, with
+    e_j the sign of b' at the real root r_j.  For each sign pattern (e = +1
+    at the largest root, which fixes the sign of b) the enclosures of these
+    sums are narrower than 1: a pattern whose enclosures miss an integer is
+    rejected, and otherwise the integers are the traces of b', which the
+    inverse of the trace matrix (Tr t^(i+k)), of determinant disc f != 0,
+    turns into coordinates.  Squaring verifies the candidate, so a square
+    root is always found and never a wrong one returned.
 
-    The returned root is normalized to be nonnegative at the largest real
-    embedding.
+    The returned root is nonnegative at the largest real embedding.
     """
     K = a.field
     if not a:
@@ -453,36 +463,32 @@ def is_square(a: FieldElement, height_bound: int = 10**6) -> FieldElement | None
     if K.degree == 1:
         r = rational_square_root(a.to_fraction())
         return None if r is None else K.from_fraction(r)
-    signs = [sign_at_embedding(a, j) for j in range(K.n_real_embeddings)]
-    if any(s < 0 for s in signs):
+    if not K.is_totally_real:
+        raise NotTotallyReal(f"squares are decided over totally real fields only, not {K}")
+    d = K.degree
+    if any(sign_at_embedding(a, j) < 0 for j in range(d)):
         return None
     if a.is_rational:
         r = rational_square_root(a.to_fraction())
         if r is not None:
             return K.from_fraction(r)
         # A rational non-square may still be a square in K; fall through.
-    if not K.is_totally_real:
-        return None
-    d = K.degree
-    last = K.n_real_embeddings - 1
-    for bits, height in ((96, height_bound), (192, height_bound**2), (384, height_bound**4)):
-        digits = bits // 4
-        roots = [K.root_approx(j, digits) for j in range(d)]
-        values = [approx_at_embedding(a, j, digits) for j in range(d)]
-        mags = [_sqrt_approx(max(v, Fraction(0)), bits) for v in values]
-        V = [[roots[j] ** k for k in range(d)] for j in range(d)]
-        for mask in range(1 << (d - 1)):
-            rhs = [mags[0]] + [
-                mags[j] if (mask >> (j - 1)) & 1 == 0 else -mags[j]
-                for j in range(1, d)
-            ]
-            red, _ = P.rational_rref([row + [r] for row, r in zip(V, rhs)])
-            coords = [row[d] for row in red]
-            cand = K.element([_cf_rationalize(c, height) for c in coords])
-            if cand * cand == a:
-                if sign_at_embedding(cand, last) < 0:
-                    cand = -cand
-                return cand
+    q = lcm(*(c.denominator for c in a.coords))
+    terms, p = _trace_terms(K, P.poly(c * q * q for c in a.coords))
+    inverse = K._trace_inverse()
+    for mask in range(1 << (d - 1)):
+        traces = []
+        for col in zip(*terms):
+            lo = sum(-H if mask >> j & 1 else L for j, (L, H) in enumerate(col))
+            hi = sum(-L if mask >> j & 1 else H for j, (L, H) in enumerate(col))
+            t = -(-lo >> p)  # the least integer >= lo * 2^-p
+            if t << p > hi:
+                break
+            traces.append(t)
+        else:
+            root = K.element(sum(x * t for x, t in zip(row, traces)) / q for row in inverse)
+            if root * root == a:
+                return root
     return None
 
 

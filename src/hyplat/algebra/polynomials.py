@@ -115,6 +115,16 @@ def poly_eval(f: Poly, x: Fraction | int) -> Fraction:
     return acc
 
 
+def poly_sign(f: Poly, x: Fraction | int) -> int:
+    """Sign of f(x) for x = n/m, by Horner over the integers on D m^d f(x),
+    with D the common denominator of f's coefficients."""
+    n, m, den = x.numerator, x.denominator, lcm(*(Fraction(c).denominator for c in f))
+    acc, mpow = 0, 1
+    for c in reversed(f):
+        acc, mpow = acc * n + int(c * den) * mpow, mpow * m
+    return (acc > 0) - (acc < 0)
+
+
 def interval_eval(f: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Interval Horner evaluation: encloses {f(x) : lo <= x <= hi}."""
     mlo = mhi = Fraction(0)
@@ -144,11 +154,7 @@ def sturm_chain(f: Poly) -> list[Poly]:
 
 
 def _sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (poly_sign(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -190,7 +196,7 @@ def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
         mid = (lo + hi) / 2
         # A rational midpoint can be a root only if f has a rational root;
         # nudge until it is not one so (lo,mid] / (mid,hi] counts are exact.
-        while poly_eval(f, mid) == 0:
+        while poly_sign(f, mid) == 0:
             mid = (lo + mid) / 2
         left = count_roots_in(chain, lo, mid)
         split(lo, mid, left)
@@ -211,14 +217,14 @@ def refine_interval(
     """
     if lo == hi:
         return lo, hi
-    flo = poly_eval(f, lo)
+    flo = poly_sign(f, lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fmid = poly_eval(f, mid)
+        fmid = poly_sign(f, mid)
         if fmid == 0:
             # Rational root: collapse to an exact point.
             return mid, mid
-        if (fmid > 0) == (flo > 0):
+        if fmid == flo:
             lo, flo = mid, fmid
         else:
             hi = mid
@@ -273,7 +279,7 @@ def rational_roots(f: Poly) -> list[Fraction]:
     for p in divisors(a0):
         for q in divisors(an):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                if poly_eval(f, cand) == 0:
+                if poly_sign(f, cand) == 0:
                     roots.add(cand)
     return sorted(roots)
 

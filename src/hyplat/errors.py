@@ -72,6 +72,11 @@ class NoBeltAvailable(HyplatError):
     """A belted-sum operand has no belt left to sum along."""
 
 
+class NotTotallyReal(HyplatError):
+    """A decision that needs every embedding of the field to be real was
+    asked over a field with complex embeddings."""
+
+
 class FactorizationBound(HyplatError):
     """An integer has a cofactor too large to certify prime by trial
     division up to the supported bound."""

@@ -635,35 +635,25 @@ def _quadratic_disc(K: NumberField) -> int:
     return squarefree_part(Fraction(b * b - 4 * c))
 
 
-def _map_into(q2: QuadraticSpace, K1: NumberField) -> QuadraticSpace | None:
-    """Transport a form over an isomorphic quadratic field into K1.
+def _map_into(q2: QuadraticSpace, K1: NumberField) -> QuadraticSpace:
+    """Transport a form over a quadratic field K2 isomorphic to K1 into K1.
 
-    The generator of K2 is sent to the root of K2's polynomial in K1 whose
-    real position matches K2's chosen embedding, so distinguished places
-    correspond.  Returns None when no such root exists.
+    The generator of K2 is sent to the root of K2's polynomial in K1 that
+    lies, at K1's chosen embedding, in the isolating interval of K2's chosen
+    root (exact signs at both ends), so distinguished places correspond.
+    Equal squarefree discriminants make both roots lie in K1 and real there.
     """
     K2 = q2.field
     b, c = K2.poly[1], K2.poly[0]
     r = is_square(K1.from_fraction(b * b - 4 * c))  # the raw discriminant
-    if r is None:
-        return None
-    images = [(K1.from_fraction(-b) + r) / 2, (K1.from_fraction(-b) - r) / 2]
-    # Which real root of K2.poly is each image, at K1's chosen embedding?
-    targets = []
-    from hyplat.algebra.numberfield import approx_at_embedding
-
-    for img in images:
-        val = approx_at_embedding(img, digits=30)
-        idx = min(
-            range(len(K2.real_roots)),
-            key=lambda i: abs(K2.root_approx(i, 30) - val),
-        )
-        targets.append(idx)
-    try:
-        pick = targets.index(K2.chosen_embedding)
-    except ValueError:
-        return None
-    theta = images[pick]
+    lo, hi = K2.real_roots[K2.chosen_embedding]
+    roots = [] if r is None else [(r - b) / 2, (-r - b) / 2]
+    theta = next(
+        (x for x in roots if sign_at_embedding(x - lo) > 0 and sign_at_embedding(x - hi) < 0),
+        None,
+    )
+    if theta is None:
+        raise CertificateError(f"{K2} has no image in {K1} at its chosen place")
 
     def convert(e: FieldElement) -> FieldElement:
         acc = K1.zero
@@ -703,14 +693,7 @@ def commensurable(s1: QuadraticSpace, s2: QuadraticSpace) -> CommensurabilityVer
                 f"quadratic fields Q(sqrt({_quadratic_disc(K1)})) and "
                 f"Q(sqrt({_quadratic_disc(K2)})) are not isomorphic",
             )
-        mapped = _map_into(s2, K1)
-        if mapped is None:
-            return CommensurabilityVerdict(
-                UNKNOWN,
-                "no field identification matching the distinguished places "
-                "was found",
-            )
-        verdict = similar(s1, mapped)
+        verdict = similar(s1, _map_into(s2, K1))
     elif K1.poly == K2.poly and K1.chosen_embedding == K2.chosen_embedding:
         verdict = similar(s1, QuadraticSpace(K1, s2.gram))
     else:

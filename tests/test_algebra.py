@@ -5,10 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyplat.algebra import polynomials as P
+from hyplat.algebra.arith import in_square_class_span
 from hyplat.algebra.numberfield import (
     QQ,
     NumberField,
@@ -19,7 +20,9 @@ from hyplat.algebra.numberfield import (
     rational_square_root,
     sign_at_embedding,
 )
-from hyplat.errors import DivisionByZero, FieldMismatch
+from hyplat.algebra.quadratic_ext import QuadraticExt
+from hyplat.coxeter import entry_field
+from hyplat.errors import DivisionByZero, FieldMismatch, NotTotallyReal
 
 F = Fraction
 
@@ -63,6 +66,13 @@ def test_interval_eval_encloses():
     lo, hi = P.interval_eval(f, F(1, 2), F(3, 4))
     for x in (F(1, 2), F(5, 8), F(3, 4)):
         assert lo <= P.poly_eval(f, x) <= hi
+
+
+@given(st.lists(st.fractions(max_denominator=50), max_size=6),
+       st.fractions(max_denominator=10**30))
+def test_poly_sign_is_the_sign_of_poly_eval(coeffs, x):
+    v = P.poly_eval(P.poly(coeffs), x)
+    assert P.poly_sign(P.poly(coeffs), x) == (v > 0) - (v < 0)
 
 
 def test_resultant_and_discriminant():
@@ -209,6 +219,14 @@ def test_is_square_quartic_field():
     assert sign_at_embedding(r) == 1
 
 
+def test_is_square_refuses_fields_with_complex_embeddings():
+    K = NumberField([-2, 0, 0, 1])  # Q(cbrt 2): one real, two complex embeddings
+    with pytest.raises(NotTotallyReal):
+        is_square(K.gen)
+    with pytest.raises(NotTotallyReal):
+        QuadraticExt(K, K.gen)
+
+
 def test_is_algebraic_integer_golden_ratio(K5):
     t = K5.gen
     phi = (1 + t) / 2
@@ -219,8 +237,6 @@ def test_is_algebraic_integer_golden_ratio(K5):
     assert is_algebraic_integer(K5.from_fraction(7))
     assert not is_algebraic_integer(K5.from_fraction(F(1, 2)))
     # degree 8: the Coxeter entry field Q(sqrt 2, sqrt 3, sqrt 5)
-    from hyplat.coxeter import entry_field
-
     E = entry_field()
     r2, r3, r5 = E.sqrt(2), E.sqrt(3), E.sqrt(5)
     assert is_algebraic_integer((E.one + r5) / 2)
@@ -278,13 +294,54 @@ def test_inverse_roundtrip(a):
         assert a * a.inverse() == 1
 
 
-@given(k2_elements())
-@settings(max_examples=60)
-def test_square_always_recognized(a):
-    sq = a * a
+# Totally real fields, each with the square classes of the integers whose
+# square roots it holds: Q(sqrt 2), Q(sqrt 5), x^3 - 3x + 1 (none),
+# x^4 - 14x^2 + 9 = Q(sqrt 2, sqrt 5) and the degree-8 entry field.
+SQUARE_FIELDS = [
+    (NumberField([-2, 0, 1], embedding=0), (2,)),
+    (NumberField([-5, 0, 1]), (5,)),
+    (NumberField([1, -3, 0, 1], embedding=0), ()),
+    (NumberField([9, 0, -14, 0, 1], embedding=0), (2, 5)),
+    (entry_field(), (2, 3, 5)),
+]
+
+
+@st.composite
+def high_elements(draw):
+    """(field, square classes, nonzero b) with b's height up to 10^40: integer
+    coordinates and a common denominator, each at most 10^40 in size."""
+    K, classes = draw(st.sampled_from(SQUARE_FIELDS))
+    den = draw(st.integers(1, 10**40))
+    nums = draw(st.lists(st.integers(-(10**40), 10**40), min_size=K.degree,
+                         max_size=K.degree).filter(any))
+    return K, classes, K.element([Fraction(c, den) for c in nums])
+
+
+# One element of height exactly 10^40 in each field, with a scalar d.
+TALL = [
+    ((K, classes, K.element([Fraction((-1) ** i * (10**40 - 7 * i), 10**40 - 3)
+                             for i in range(K.degree)])), d)
+    for (K, classes), d in zip(SQUARE_FIELDS, (2, 5, 3, 10, 30))
+]
+
+
+@given(high_elements(), st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30, -1, -2]))
+@example(*TALL[0])
+@example(*TALL[1])
+@example(*TALL[2])
+@example(*TALL[3])
+@example(*TALL[4])
+@settings(max_examples=60, deadline=None)
+def test_square_always_recognized(field_b, d):
+    K, classes, b = field_b
+    sq = b * b
     r = is_square(sq)
     assert r is not None
     assert r * r == sq
+    assert sign_at_embedding(r, K.n_real_embeddings - 1) > 0
+    r = is_square(sq * d)
+    assert (r is None) == (not in_square_class_span(classes, d))
+    assert r is None or r * r == sq * d
 
 
 @given(k2_elements())

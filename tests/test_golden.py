@@ -1,9 +1,14 @@
-"""Byte-for-byte golden reports for the bundled inputs.
+"""Byte-for-byte golden reports of the command line.
 
 Each file under ``tests/golden/`` is the canonical ``--json`` report of one
-command on one bundled input.  Any change to a verdict, a certificate or the
-report layout shows up here as a diff.  The last tests run the CLI in a
-fresh interpreter: under ``python -O``, and to see which modules it loads.
+command on one input: ``coxeter analyze`` on the bundled figures, and
+``hybrid verify`` and ``form commensurable`` on the complexes and forms in
+``tests/golden/inputs/`` over Q(sqrt 2), Q(sqrt 5), x^3 - 3x + 1 and
+x^4 - 14x^2 + 9.  Any change to a verdict, a certificate or the report
+layout shows up here as a diff.  The last tests run the CLI in a fresh
+interpreter: under ``python -O`` (the only run of the field reports, and a
+merged multi-figure ``coxeter analyze`` report), and to see which modules
+it loads.
 """
 
 from __future__ import annotations
@@ -20,6 +25,31 @@ from hyplat.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIGURES = sorted(p.stem for p in (GOLDEN / "coxeter_analyze").glob("*.json"))
+INPUTS = GOLDEN / "inputs"
+COMPLEXES = sorted(p.stem for p in INPUTS.glob("*.cpx"))
+# form commensurable: golden name -> (left form, right form)
+FORM_PAIRS = {
+    "sqrt2_scaled": ("sqrt2_a", "sqrt2_b"),
+    "sqrt2_discriminant": ("sqrt2_a", "sqrt2_c"),
+    "sqrt2_shifted": ("sqrt2_a", "sqrt2_shifted"),
+    "sqrt2_shifted_e1": ("sqrt2_a", "sqrt2_shifted_e1"),
+    "sqrt5_scaled": ("sqrt5_a", "sqrt5_b"),
+    "sqrt5_golden": ("sqrt5_a", "sqrt5_golden"),
+    "sqrt5_golden_b": ("sqrt5_a", "sqrt5_golden_b"),
+    "cubic_scaled": ("cubic_a", "cubic_b"),
+    "cubic_discriminant": ("cubic_a", "cubic_c"),
+    "quartic_scaled": ("quartic_a", "quartic_b"),
+    "quartic_discriminant": ("quartic_a", "quartic_c"),
+}
+# golden file (relative to GOLDEN) -> argv, run from INPUTS
+CASES = {
+    **{f"coxeter_analyze/{f}.json": ["coxeter", "analyze", f"figures/{f}.cox"]
+       for f in FIGURES},
+    **{f"hybrid_verify/{c}.json": ["hybrid", "verify", f"{c}.cpx"] for c in COMPLEXES},
+    **{f"form_commensurable/{name}.json": ["form", "commensurable", f"{a}.form", f"{b}.form"]
+       for name, (a, b) in FORM_PAIRS.items()},
+}
+FIELD_CASES = sorted(c for c in CASES if not c.startswith("coxeter_analyze/"))
 
 
 def test_every_bundled_figure_has_a_golden_report():
@@ -37,6 +67,13 @@ def test_coxeter_analyze_report_matches_golden(figure, tmp_path, capsys):
     assert out.read_bytes() == expected
 
 
+def test_every_golden_input_is_used():
+    used = {a for pair in FORM_PAIRS.values() for a in pair}
+    assert used == {p.stem for p in INPUTS.glob("*.form")}
+    assert sorted(CASES) == sorted(
+        str(p.relative_to(GOLDEN)) for p in GOLDEN.glob("*/*.json"))
+
+
 def _run_cli_subprocess(*args: str) -> str:
     """stdout of ``python <args>`` in a fresh interpreter that imports this
     checkout's hyplat."""
@@ -52,16 +89,33 @@ def _run_cli_subprocess(*args: str) -> str:
     return proc.stdout
 
 
-def test_goldens_hold_under_python_O():
-    """``python -O`` strips asserts; every certificate check must survive it."""
+def test_goldens_hold_under_python_O(tmp_path):
+    """``python -O`` strips asserts; every certificate check must survive it.
+
+    The field reports are compared file by file; the figures go through
+    ``python -O -m hyplat.cli`` in one call that writes one report to
+    stdout, which must be the per-figure goldens with ``inputs`` merged and
+    ``results`` concatenated in input order.
+    """
+    out = _run_cli_subprocess(
+        "-O", "-c",
+        "import os\nfrom hyplat.cli import main\n"
+        f"os.chdir({str(INPUTS)!r})\n"
+        f"cases = {[(name, CASES[name]) for name in FIELD_CASES]!r}\n"
+        "print([main([*argv, '--json', os.path.join("
+        f"{str(tmp_path)!r}, name.replace('/', '_'))]) for name, argv in cases])",
+    )
+    assert out.splitlines()[-1] == str([0] * len(FIELD_CASES))
+    for name in FIELD_CASES:
+        got = (tmp_path / name.replace("/", "_")).read_bytes()
+        assert got == (GOLDEN / name).read_bytes(), name
+
     out = _run_cli_subprocess(
         "-O", "-m", "hyplat.cli", "coxeter", "analyze", "--json", "-",
         *(f"figures/{figure}.cox" for figure in FIGURES),
     )
     lines = out.split("\n")
     blob = "\n".join(lines[lines.index("{"):])
-    # One report over all figures: the per-figure goldens, inputs merged and
-    # results concatenated in input order.
     reports = [json.loads((GOLDEN / "coxeter_analyze" / f"{figure}.json").read_text())
                for figure in FIGURES]
     expected = dict(reports[0], inputs={}, results=[])

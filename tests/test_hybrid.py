@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from hyplat.algebra.numberfield import QQ, NumberField, is_square
 from hyplat.algebra.quadratic_ext import QuadraticExt
+from hyplat.cli import main
 from hyplat.errors import (
     DegenerateRestriction,
     MalformedComplex,
@@ -541,6 +543,26 @@ class TestFiniteness:
         )
         rep = finiteness_verdict(cx)
         assert rep.verdict == HYPOTHESES_MET
+
+    def test_square_ratio_of_large_height_is_not_a_dissimilarity(self, tmp_path, capsys):
+        # b = 1/(10^30+57) + 3t/(10^30+61) over Q(sqrt 2): the ambient forms
+        # <1> + q and <b^2> + q are isometric, so no dissimilarity holds.
+        K = NumberField([-2, 0, 1], embedding=0)
+        b = Fraction(1, 10**30 + 57) + 3 * K.gen / (10**30 + 61)
+        c0, c1 = (b * b).coords
+        path = tmp_path / "pair.cpx"
+        path.write_text(
+            "field 1 0 -2\npattern gps\nshared diag 1 1 -1+t\n"
+            f"block N1 alpha 1\nblock N2 alpha [{c0},{c1}]\nglue N1 N2\n"
+        )
+        assert main(["hybrid", "verify", str(path), "--json", "-"]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out[out.index("{"):])
+        assert report["verdict"] == HYPOTHESES_NOT_MET
+        (pair,) = report["pairs"]
+        assert pair["similarity"]["status"] == "Similar"
+        assert pair["similarity"]["lambda"] == "1"
+        assert pair["ratio_square"] is True
 
     def test_unknown_edges_possible_over_number_field(self):
         K = NumberField([-2, 0, 1])

@@ -228,10 +228,45 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _no_options(texts):
+    return texts.map(lambda text: (text, []))
+
+
+def _vectors(size):
+    vector = st.lists(ENTRY, min_size=size, max_size=size).map(",".join)
+    return st.tuples(vector, st.lists(vector, min_size=1, max_size=2).map(";".join))
+
+
+def _complex(parts):
+    (field, negative), shared, alphas, gluings = parts
+    blocks = [f"block {label} alpha {alpha}" for label, alpha in zip("ABC", alphas)]
+    return "\n".join(
+        [field, "pattern general", f"shared diag {shared} {negative}", *blocks, *gluings])
+
+
+# Well-formed complexes (a shared form negative at the chosen place only,
+# mostly positive block scalars) and angle inputs, so that a share of the
+# fuzzed calls reaches a verdict rather than an input error.
+POSITIVE = st.sampled_from(["1", "2", "3", "1/2", "3/2", "4", "t^2", "2*t^2", "3+2*t", "6+t"])
+COMPLEX = st.tuples(
+    st.sampled_from([("field 1 0", "-1"), ("field 1 0 -2", "t"), ("field 1 0 -5", "t"),
+                     ("field 1 -1 -1", "t")]),
+    st.lists(POSITIVE, min_size=1, max_size=2).map(" ".join),
+    st.lists(POSITIVE, min_size=3, max_size=3),
+    st.lists(st.sampled_from(["glue A B", "glue B C", "glue A C"]), min_size=1, max_size=3),
+).map(_complex)
+ANGLE = st.one_of(
+    st.tuples(_texts(parse_form), st.integers(1, 4).flatmap(_vectors)),
+    st.tuples(st.tuples(FIELD, _entries(3, 3)).map(lambda t: f"{t[0]}\ndiag {t[1]}"),
+              _vectors(3)),
+).map(lambda t: (t[0], ["--e=" + t[1][0], "--z=" + t[1][1]]))
+# (input file text, options after it)
 CLI_INPUTS = {
-    "form check": _texts(parse_form),
-    "coxeter analyze": _texts(parse_diagram),
-    "links compose": _texts(parse_composition_script),
+    "form check": _no_options(_texts(parse_form)),
+    "coxeter analyze": _no_options(_texts(parse_diagram)),
+    "links compose": _no_options(_texts(parse_composition_script)),
+    "hybrid verify": _no_options(st.one_of(_texts(parse_complex), COMPLEX)),
+    "hybrid angle": ANGLE,
 }
 
 
@@ -241,10 +276,11 @@ def test_fuzz_cli(command, tmp_path_factory):
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(text=CLI_INPUTS[command])
-    def check(text):
+    @given(case=CLI_INPUTS[command])
+    def check(case):
+        text, options = case
         path.write_text(text, encoding="utf-8")
-        argv = [*command.split(), str(path), "--json", "-"]
+        argv = [*command.split(), str(path), *options, "--json", "-"]
         first = _run(argv)
         code, _, err = first
         assert code in (0, 1, 2)
