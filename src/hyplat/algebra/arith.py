@@ -1,5 +1,9 @@
 """Integer kernels: factorization, primes, squarefree parts and square classes.
 
+`is_prime` is Miller-Rabin with the first 13 prime bases, which is a proof
+of primality below `MILLER_RABIN_BOUND` (Sorenson and Webster, Math. Comp.
+86, 2017); `factorize` is trial division and certifies cofactors up to 10^12.
+
 Every rational square-class question in the package comes here.  The
 nonzero rationals modulo squares form a GF(2) vector space with one
 coordinate for the sign and one for the parity of each prime's exponent;
@@ -20,13 +24,16 @@ __all__ = [
     "is_prime",
     "squarefree_part",
     "is_squarefree",
-    "divisors",
+    "MILLER_RABIN_BOUND",
     "primes_outside",
     "square_class_basis",
     "in_square_class_span",
 ]
 
 _FACTOR_BOUND = 10**6
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+"""Below this, no composite passes Miller-Rabin to all of `_MR_BASES`."""
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -53,7 +60,33 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    return n > 1 and factorize(n) == {n: 1}
+    """Primality, proven: trial division by the 13 bases, then the strong
+    probable-prime test to each of them.  A number at or above
+    MILLER_RABIN_BOUND that no base proves composite raises
+    FactorizationBound rather than being guessed prime."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < _MR_BASES[-1] ** 2:
+        return True
+    s, m = 0, n - 1
+    while not m & 1:
+        s, m = s + 1, m >> 1
+    for a in _MR_BASES:
+        x = pow(a, m, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= MILLER_RABIN_BOUND:
+        raise FactorizationBound(f"cannot certify {n} prime")
+    return True
 
 
 def squarefree_part(q: Fraction | int) -> int:
@@ -71,15 +104,6 @@ def squarefree_part(q: Fraction | int) -> int:
 
 def is_squarefree(n: int) -> bool:
     return n != 0 and all(e == 1 for e in factorize(n).values())
-
-
-def divisors(n: int) -> list[int]:
-    """Positive divisors of n != 0, built prime by prime from its
-    factorization: 1, p1, p2, p1*p2, p3, ... for squarefree n."""
-    out = [1]
-    for p, e in factorize(n).items():
-        out += [d * p**k for k in range(1, e + 1) for d in out]
-    return out
 
 
 def primes_outside(excluded: Iterable[int], count: int) -> list[int]:

@@ -5,7 +5,9 @@ ascending coefficients) together with Sturm isolating intervals for its real
 roots and a *chosen* real embedding used wherever a single archimedean place
 is needed (signatures, positivity, hyperboloid membership).  Elements are
 coordinate vectors over the power basis 1, t, ..., t^(d-1) with Fraction
-entries; all arithmetic is exact.
+entries; all arithmetic is exact.  Construction proves f irreducible by
+factoring it over the integers (`polynomials.factor_squarefree`), for every
+degree, with no library outside the package.
 
 Over a totally real field `is_square` decides squares exactly: the traces of
 an integral multiple of a square root are rational integers, which interval
@@ -498,24 +500,23 @@ def is_square(a: FieldElement) -> FieldElement | None:
 
 
 def _check_irreducible(f: P.Poly) -> None:
-    d = P.degree(f)
-    if d == 1:
+    """Raise ValueError unless the monic integer f is irreducible over Q.
+
+    One exact path for every degree: f must be squarefree, and then its
+    factorization over Z (`P.factor_squarefree`) must have one factor.  A
+    linear factor is reported as the least rational root.
+    """
+    if P.degree(f) == 1:
         return
     if not P.is_squarefree(f):
         raise ValueError("defining polynomial must be squarefree")
-    roots = P.rational_roots(f)
+    factors = P.factor_squarefree([int(c) for c in f])
+    if len(factors) == 1:
+        return
+    roots = [-g[0] for g in factors if len(g) == 2]
     if roots:
-        raise ValueError(f"defining polynomial has rational root {roots[0]}")
-    if d <= 3:
-        return  # no rational root => irreducible for degrees 2 and 3
-    # Exact factorization is mature library territory; import lazily so the
-    # common internally-constructed fields never touch it.
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(int(c) * x**i for i, c in enumerate(f))
-    if not sympy.Poly(expr, x).is_irreducible:
-        raise ValueError("defining polynomial is reducible")
+        raise ValueError(f"defining polynomial has rational root {min(roots)}")
+    raise ValueError("defining polynomial is reducible")
 
 
 def _poly_str(f: P.Poly, var: str = "t") -> str:

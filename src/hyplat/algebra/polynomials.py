@@ -3,16 +3,19 @@
 A polynomial is a tuple of Fractions in *ascending* degree order with no
 trailing zeros; the zero polynomial is the empty tuple.  This module carries
 the exact real-root machinery (Sturm chains, isolating intervals, interval
-refinement) that the number-field layer builds on.
+refinement) that the number-field layer builds on, and the factorization
+over the integers (`factor_squarefree`) that decides irreducibility.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import lcm
+from itertools import chain, combinations
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
-from hyplat.algebra.arith import divisors
+from hyplat.algebra.arith import MILLER_RABIN_BOUND, is_prime
 
 Poly = tuple[Fraction, ...]
 
@@ -262,28 +265,6 @@ def discriminant(f: Poly) -> Fraction:
     return Fraction(-1) ** (n * (n - 1) // 2) * r / leading(f)
 
 
-def rational_roots(f: Poly) -> list[Fraction]:
-    """All rational roots of a nonzero f with rational coefficients."""
-    if not f:
-        raise ValueError("zero polynomial")
-    den = lcm(*(c.denominator for c in f))
-    ints = [int(c * den) for c in f]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # factor out x
-    roots = set()
-    if len(ints) != len(f):
-        roots.add(Fraction(0))
-    if not ints:
-        return sorted(roots)
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if poly_sign(f, cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
 def charpoly_rational(rows: Sequence[Sequence[Fraction]]) -> Poly:
     """Characteristic polynomial det(xI - A), ascending coefficients, monic.
 
@@ -347,3 +328,171 @@ def rational_rref(
         pivots.append(c)
         r += 1
     return A, tuple(pivots)
+
+
+# ---------------------------------------------------------------------------
+# Factorization over the integers (Zassenhaus, no Hensel lifting)
+# ---------------------------------------------------------------------------
+#
+# Polynomials mod p (and the integer ones being factored) are lists of ints
+# in ascending order with no trailing zeros.
+
+# Exponents e of the Mersenne primes 2^e - 1 that serve as moduli past the
+# range where `is_prime` is a proof.  The list stops where one factorization
+# of degree 8 takes seconds.
+_MERSENNE_EXPONENTS = (89, 107, 127, 521, 607, 1279)
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _divmod_monic(a: list[int], g: list[int], p: int = 0) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic g, mod p (over Z if p = 0)."""
+    dg = len(g) - 1
+    r = list(a)
+    q = [0] * max(len(a) - dg, 0)
+    for i in range(len(a) - 1 - dg, -1, -1):
+        c = r[i + dg] % p if p else r[i + dg]
+        if c:
+            q[i] = c
+            for j in range(dg):
+                r[i + j] -= c * g[j]
+    r = r[:dg]
+    if p:
+        r = [c % p for c in r]
+    return _trim(q), _trim(r)
+
+
+def _monic(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p); a must be nonzero."""
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod_monic(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _mulmod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
+    """a*b mod (g, p) for a monic g, a and b reduced mod g."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _divmod_monic(out, g, p)[1]
+
+
+def _powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
+    """a^e mod (g, p) by square and multiply, for a reduced mod g."""
+    out, base = [1], a
+    while e:
+        if e & 1:
+            out = _mulmod(out, base, g, p)
+        e >>= 1
+        if e:
+            base = _mulmod(base, base, g, p)
+    return out
+
+
+def _minus_monomial(a: list[int], k: int, p: int) -> list[int]:
+    """a - x^k mod p."""
+    out = a + [0] * (k + 1 - len(a))
+    out[k] = (out[k] - 1) % p
+    return _trim(out)
+
+
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """(g, k): g the product of f's irreducible factors of degree k mod p,
+    for f monic and squarefree mod p."""
+    out = []
+    h, k = [0, 1], 0
+    while len(f) - 1 >= 2 * (k + 1):
+        k += 1
+        h = _powmod(h, p, f, p)  # x^(p^k) mod f
+        g = _gcd(f, _minus_monomial(h, 1, p), p)
+        if len(g) > 1:
+            out.append((g, k))
+            f = _divmod_monic(f, g, p)[0]
+            h = _divmod_monic(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g: list[int], k: int, p: int, rng: random.Random) -> list[list[int]]:
+    """The monic irreducible factors mod an odd p of g, a product of
+    distinct irreducibles of degree k (Cantor-Zassenhaus)."""
+    if len(g) - 1 == k:
+        return [g]
+    e = (p**k - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        s = _gcd(g, _minus_monomial(_powmod(a, e, g, p), 0, p), p)
+        if 1 < len(s) < len(g):
+            rest = _divmod_monic(g, s, p)[0]
+            return _equal_degree(s, k, p, rng) + _equal_degree(rest, k, p, rng)
+
+
+def _modulus(f: list[int], bound: int) -> int:
+    """The least prime above `bound` modulo which f stays squarefree; past
+    MILLER_RABIN_BOUND, the least such Mersenne prime from the list."""
+    df = [i * c for i, c in enumerate(f)][1:]
+    primes = (n for n in range(bound + 1, MILLER_RABIN_BOUND) if is_prime(n))
+    mersenne = (m for m in (2**e - 1 for e in _MERSENNE_EXPONENTS) if m > bound)
+    for p in chain(primes, mersenne):
+        if len(_gcd([c % p for c in f], _trim([c % p for c in df]), p)) == 1:
+            return p
+    raise ValueError("defining polynomial has coefficients too large to factor")
+
+
+def factor_squarefree(f: Sequence[int]) -> list[tuple[int, ...]]:
+    """The irreducible factors over Z of a monic squarefree integer
+    polynomial, as ascending coefficient tuples sorted by (degree, coefficients).
+
+    Every coefficient of a proper monic factor of f is at most
+    B = 2^(d-1) * ceil(|f|_2) in absolute value (Landau-Mignotte).  So mod a
+    prime p > 2B, with f squarefree mod p, each factor over Z is the
+    symmetric lift of a product of f's irreducible factors mod p, and no
+    Hensel lifting is needed.  f is factored mod p by distinct-degree and
+    Cantor-Zassenhaus equal-degree splitting (a seeded generator keeps the
+    work deterministic); products of at most half of the modular factors
+    are lifted and kept when they divide f exactly (Cohen, GTM 138, 3.5).
+    """
+    f = [int(c) for c in f]
+    d = len(f) - 1
+    if d <= 1:
+        return [tuple(f)]
+    norm2 = sum(c * c for c in f)
+    norm = isqrt(norm2)
+    norm += norm * norm < norm2
+    p = _modulus(f, 2 ** d * norm)
+    rng = random.Random(0)
+    fp = [c % p for c in f]
+    modular = [
+        h for g, k in _distinct_degree(fp, p) for h in _equal_degree(g, k, p, rng)
+    ]
+    factors, size = [], 1
+    while 2 * size <= len(modular):
+        for subset in combinations(range(len(modular)), size):
+            g = [1]
+            for i in subset:  # a proper divisor of f: reducing mod f is exact
+                g = _mulmod(g, modular[i], fp, p)
+            g = [c - p if 2 * c > p else c for c in g]
+            q, r = _divmod_monic(f, g)
+            if not r:
+                factors.append(tuple(g))
+                f = q
+                modular = [h for i, h in enumerate(modular) if i not in subset]
+                break
+        else:
+            size += 1
+    factors.append(tuple(f))
+    return sorted(factors, key=lambda g: (len(g), g))

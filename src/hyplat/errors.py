@@ -78,8 +78,8 @@ class NotTotallyReal(HyplatError):
 
 
 class FactorizationBound(HyplatError):
-    """An integer has a cofactor too large to certify prime by trial
-    division up to the supported bound."""
+    """An integer is too large to certify prime: a cofactor above 10^12
+    left by trial division, or a number past the Miller-Rabin proof bound."""
 
 
 class CertificateError(HyplatError):

@@ -467,9 +467,9 @@ def _similar_over_Q(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict
             NOT_SIMILAR, None, f"discriminant class {D1} != {D2} (even dimension)"
         )
     primes = relevant_primes(d1, d2)
-    # The squarefree divisors of prod(primes), built prime by prime rather
-    # than by divisors(prod(primes)): two primes above 10^6 would put that
-    # product past the factorization bound.
+    # The squarefree divisors of prod(primes), built from the known primes
+    # rather than by factoring their product: two primes above 10^6 would
+    # put that product past the factorization bound.
     supported = [1]
     for p in primes:
         supported += [t * p for t in supported]

@@ -85,9 +85,74 @@ def test_resultant_and_discriminant():
     assert P.resultant(f, P.poly([-1, 1])) == 0
 
 
-def test_rational_roots():
-    f = P.poly_mul(P.poly([-1, 2]), P.poly([3, 1]))  # (2x-1)(x+3)
-    assert P.rational_roots(f) == [F(-3), F(1, 2)]
+def _int_mul(f, g):
+    return [int(c) for c in P.poly_mul(P.poly(f), P.poly(g))]
+
+
+@st.composite
+def _monic_int_polys(draw):
+    """Monic integer polynomials of degree 2..8; half of them products of
+    two random monic factors."""
+    coeff = st.integers(-20, 20)
+    if draw(st.booleans()):
+        f = draw(st.lists(coeff, min_size=2, max_size=8)) + [1]
+    else:
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        f = _int_mul(draw(st.lists(coeff, min_size=a, max_size=a)) + [1],
+                     draw(st.lists(coeff, min_size=b, max_size=b)) + [1])
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monic_int_polys())
+def test_factor_squarefree_matches_sympy(f):
+    import sympy
+
+    if not P.is_squarefree(P.poly(f)):
+        return
+    x = sympy.Symbol("x")
+    ref = sympy.Poly(list(reversed(f)), x)
+    factors = P.factor_squarefree(f)
+    theirs = sorted(
+        (tuple(int(c) for c in reversed(g.all_coeffs())) for g, _ in ref.factor_list()[1]),
+        key=lambda g: (len(g), g),
+    )
+    assert factors == theirs
+    assert (len(factors) == 1) == ref.is_irreducible
+
+
+# Irreducible over Q but reducible modulo every prime, so only the
+# recombination over Z proves them irreducible.
+EVERYWHERE_REDUCIBLE = {
+    "x^4 + 1": [1, 0, 0, 0, 1],
+    "x^4 - 10x^2 + 1": [1, 0, -10, 0, 1],
+    "x^4 - 14x^2 + 9": [9, 0, -14, 0, 1],
+    "min poly of sqrt2 + sqrt3 + sqrt5": [576, 0, -960, 0, 352, 0, -40, 0, 1],
+}
+
+
+@pytest.mark.parametrize("name", EVERYWHERE_REDUCIBLE)
+def test_irreducible_though_reducible_mod_every_prime(name):
+    f = EVERYWHERE_REDUCIBLE[name]
+    assert P.factor_squarefree(f) == [tuple(f)]
+    if name != "x^4 + 1":  # the only one with no real root
+        assert NumberField(f).is_totally_real
+
+
+def test_factor_squarefree_splits_products():
+    quad, cubic = [-2, 0, 1], [1, -3, 0, 1]
+    assert P.factor_squarefree(_int_mul(quad, cubic)) == [tuple(quad), tuple(cubic)]
+    linears = [(-3, 1), (0, 1), (2, 1), (5, 1)]
+    f = [1]
+    for g in linears:
+        f = _int_mul(f, g)
+    assert P.factor_squarefree(f) == sorted(linears)
+    # Coefficients past the Miller-Rabin proof range: a Mersenne modulus.
+    big = 10**30
+    assert P.factor_squarefree([-3 * big, big - 3, 1]) == [(-3, 1), (big, 1)]
+    assert P.factor_squarefree([-(big + 7), 0, 1]) == [(-(big + 7), 0, 1)]
+    with pytest.raises(ValueError, match="too large to factor"):
+        P.factor_squarefree([-(2**1300 + 1), 0, 1])
 
 
 @st.composite
@@ -131,14 +196,18 @@ def test_field_validation_rejects_bad_polys():
         NumberField([2, 0, 2])  # not monic
     with pytest.raises(ValueError):
         NumberField([F(1, 2), 1])  # not integral
-    with pytest.raises(ValueError):
-        NumberField([-1, 0, 1])  # reducible: (x-1)(x+1)
-    with pytest.raises(ValueError):
-        NumberField([0, 0, 1])  # not squarefree
-    with pytest.raises(ValueError):
-        NumberField([1, 0, 1])  # no real root
-    with pytest.raises(ValueError):
-        NumberField([1, 2, 0, 0, 1])  # reducible quartic (x^2+x+1)(x^2-x+1)
+    with pytest.raises(ValueError, match="rational root -1$"):
+        NumberField([-1, 0, 1])  # (x-1)(x+1): the least root is named
+    with pytest.raises(ValueError, match="squarefree"):
+        NumberField([0, 0, 1])
+    with pytest.raises(ValueError, match="no real root"):
+        NumberField([1, 0, 1])
+    with pytest.raises(ValueError, match="rational root -1$"):
+        NumberField([1, 2, 0, 0, 1])  # x^4 + 2x + 1
+    with pytest.raises(ValueError, match="is reducible"):
+        NumberField([1, 0, 1, 0, 1])  # x^4 + x^2 + 1 = (x^2+x+1)(x^2-x+1)
+    with pytest.raises(ValueError, match="is reducible"):
+        NumberField([6, 0, -5, 0, 1])  # (x^2-2)(x^2-3)
 
 
 def test_quartic_irreducible_accepted():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hyplat.algebra import polynomials as P
 from hyplat.algebra.arith import (
-    divisors,
+    MILLER_RABIN_BOUND,
     factorize,
     in_square_class_span,
     is_prime,
@@ -47,12 +47,37 @@ def test_factorize_bound_names_the_number():
         factorize(0)
 
 
-def test_is_prime_divisors_and_primes_outside():
-    assert [n for n in range(-5, 400) if is_prime(n)] == list(sympy.primerange(400))
-    for n in (1, -12, 36, 97, 360, 1001):
-        assert sorted(divisors(n)) == sympy.divisors(n)
-    assert divisors(30) == [1, 2, 3, 6, 5, 10, 15, 30]
+def test_is_prime_and_primes_outside():
+    assert [n for n in range(-5, 2000) if is_prime(n)] == list(sympy.primerange(2000))
     assert primes_outside([2, 3, 7], 5) == [5, 11, 13, 17, 19]
+
+
+# The least strong pseudoprimes to all prime bases up to 7, 11, 31 and 37,
+# and primes above the 10^12 trial-division bound.
+PSEUDOPRIMES = [3215031751, 2152302898747, 3825123056546413051,
+                318665857834031151167461]
+LARGE_PRIMES = [10**12 + 39, 999999999989, 1000000000000000003, 2**61 - 1,
+                10**24 + 7]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-10, 10**6), st.integers(10**6, 10**24)))
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    for n in PSEUDOPRIMES + [p * q for p, q in combinations(LARGE_PRIMES[:3], 2)]:
+        assert not sympy.isprime(n) and not is_prime(n), n
+    for p in LARGE_PRIMES:
+        assert sympy.isprime(p) and is_prime(p), p
+    # The least strong pseudoprime to all 13 bases, where the proof ends.
+    assert not sympy.isprime(MILLER_RABIN_BOUND)
+    with pytest.raises(FactorizationBound, match="cannot certify"):
+        is_prime(MILLER_RABIN_BOUND)
+    with pytest.raises(FactorizationBound, match="cannot certify"):
+        is_prime(2**89 - 1)
+    assert not is_prime(2**89 + 1)
 
 
 # ---------------------------------------------------------------------------

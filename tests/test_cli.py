@@ -80,6 +80,15 @@ class TestFormCommands:
         assert out == ""
         assert err.count("\n") == 1 and "1000000000000000003" in err
 
+    def test_field_with_a_large_prime_constant_term(self, capsys, tmp_path):
+        # Q(sqrt(10^18 + 3)): irreducibility needs no factorization of the
+        # constant term, which lies past the integer factorization bound.
+        f = tmp_path / "large.form"
+        f.write_text("field 1 0 -1000000000000000003\ndiag 1 1 -1+t\n")
+        code, out, err = run(capsys, "form", "check", str(f))
+        assert (code, err) == (0, "")
+        assert out == f"{f}: admissible, signature (2, 1, 0)\n"
+
     def test_commensurable_pair(self, capsys, tmp_path):
         out_json = tmp_path / "report.json"
         code, out, _ = run(

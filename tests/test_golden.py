@@ -2,13 +2,13 @@
 
 Each file under ``tests/golden/`` is the canonical ``--json`` report of one
 command on one input: ``coxeter analyze`` on the bundled figures, and
-``hybrid verify`` and ``form commensurable`` on the complexes and forms in
-``tests/golden/inputs/`` over Q(sqrt 2), Q(sqrt 5), x^3 - 3x + 1 and
-x^4 - 14x^2 + 9.  Any change to a verdict, a certificate or the report
-layout shows up here as a diff.  The last tests run the CLI in a fresh
-interpreter: under ``python -O`` (the only run of the field reports, and a
-merged multi-figure ``coxeter analyze`` report), and to see which modules
-it loads.
+``hybrid verify``, ``hybrid angle``, ``form check`` and ``form
+commensurable`` on the complexes and forms in ``tests/golden/inputs/`` over
+Q(sqrt 2), Q(sqrt 5), x^3 - 3x + 1 and x^4 - 14x^2 + 9.  Any change to a
+verdict, a certificate or the report layout shows up here as a diff.  The
+last tests run the CLI in a fresh interpreter: under ``python -O`` (the only
+run of the field reports, and a merged multi-figure ``coxeter analyze``
+report), and to see which modules it loads.
 """
 
 from __future__ import annotations
@@ -41,6 +41,14 @@ FORM_PAIRS = {
     "quartic_scaled": ("quartic_a", "quartic_b"),
     "quartic_discriminant": ("quartic_a", "quartic_c"),
 }
+FORMS = sorted(p.stem for p in INPUTS.glob("*.form"))
+# hybrid angle: golden name -> (form, line e, subspace Z)
+ANGLES = {
+    "cubic_plane": ("cubic_a", "1,0,0,1", "1,0,0,0;0,1,0,0"),
+    "cubic_hyperplane": ("cubic_a", "t,1,0,1", "1,0,0,0;0,1,0,0;0,0,1,0"),
+    "quartic_plane": ("quartic_a", "1,0,0,1", "1,0,0,0;0,1,0,0"),
+    "quartic_hyperplane": ("quartic_a", "t,1,0,1", "1,0,0,0;0,1,0,0;0,0,1,0"),
+}
 # golden file (relative to GOLDEN) -> argv, run from INPUTS
 CASES = {
     **{f"coxeter_analyze/{f}.json": ["coxeter", "analyze", f"figures/{f}.cox"]
@@ -48,6 +56,9 @@ CASES = {
     **{f"hybrid_verify/{c}.json": ["hybrid", "verify", f"{c}.cpx"] for c in COMPLEXES},
     **{f"form_commensurable/{name}.json": ["form", "commensurable", f"{a}.form", f"{b}.form"]
        for name, (a, b) in FORM_PAIRS.items()},
+    **{f"form_check/{f}.json": ["form", "check", f"{f}.form"] for f in FORMS},
+    **{f"hybrid_angle/{name}.json": ["hybrid", "angle", f"{form}.form", "--e", e, "--z", z]
+       for name, (form, e, z) in ANGLES.items()},
 }
 FIELD_CASES = sorted(c for c in CASES if not c.startswith("coxeter_analyze/"))
 
@@ -125,19 +136,28 @@ def test_goldens_hold_under_python_O(tmp_path):
     assert blob == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
-def test_commands_below_degree_four_do_not_import_sympy(tmp_path):
-    """sympy only decides irreducibility of ``field`` polynomials of degree
-    >= 4; integer kernels and every other verdict path are its own code."""
+def test_cli_never_imports_sympy(tmp_path):
+    """Every verdict path, irreducibility of quartic ``field`` lines
+    included, is the package's own code: sympy is a test-time oracle."""
     complex_file = tmp_path / "pair.cplx"
     complex_file.write_text(
         "field 1 0 -2\npattern gps\nshared diag 1 1 [1,1]\n"
         "block N1 alpha 1\nblock N2 alpha 3\nglue N1 N2\n"
     )
+    quartic_complex = tmp_path / "quartic.cplx"  # the field-gluings warm-up
+    quartic_complex.write_text(
+        "field 1 0 -14 0 9\nembedding 0\npattern gps\nshared diag [1] [1] [1,1]\n"
+        "block N1 alpha 1\nblock N2 alpha 3\nglue N1 N2\n"
+    )
+    quartic_form = tmp_path / "quartic.form"
+    quartic_form.write_text("field 1 0 -10 0 1\ndiag 1 1 1 1+t\n")
     commands = [
         ["form", "check", "diag(1,1,1,-1)", "diag(2,3,5,-7)"],
+        ["form", "check", str(quartic_form)],
         ["form", "commensurable", "diag(1,1,1,-1)", "diag(1,1,3,-3)"],
         ["form", "commensurable", "diag(1,1,1,-1)", "diag(1,1,1,-1000000000000000003)"],
         ["hybrid", "verify", str(complex_file)],
+        ["hybrid", "verify", str(quartic_complex)],
         ["hybrid", "angle", "diag(1,1,1,-1)", "--e", "1,1,0,0", "--z", "1,0,0,0"],
         ["coxeter", "analyze", "figures/fig4_h5_simplex.cox"],
         ["links", "compose", "whitehead+chain3"],
@@ -148,4 +168,4 @@ def test_commands_below_degree_four_do_not_import_sympy(tmp_path):
         f"codes = [main(argv) for argv in {commands!r}]\n"
         "print(codes, 'sympy' in sys.modules)",
     )
-    assert out.splitlines()[-1] == "[0, 0, 2, 0, 0, 0, 0] False"
+    assert out.splitlines()[-1] == "[0, 0, 0, 2, 0, 0, 0, 0, 0] False"

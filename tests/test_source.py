@@ -21,3 +21,21 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, "assert statements in the package: " + ", ".join(found)
+
+
+def test_no_sympy_imports():
+    """sympy is a test-time oracle only; the package has no runtime
+    dependency."""
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "sympy" for name in names):
+                found.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}")
+    assert not found, "sympy imports in the package: " + ", ".join(found)
