@@ -8,7 +8,12 @@ generator list so that equal composita always present identical generators.
 A totally real compositum (all canonical generators positive) is constructed
 as an honest :class:`~hyplat.algebra.numberfield.NumberField` of degree 2^t
 over the power basis of gamma = sum_i sqrt(d_i), together with conversion to
-and from the monomial basis {prod_{i in S} sqrt(d_i)}.  A compositum with a
+and from the monomial basis {e_S = prod_{i in S} sqrt(d_i)}.  The field is
+Galois over Q and every automorphism is diagonal in that basis: sigma_j
+multiplies e_S by the sign chi_S(sigma_j), the product over i in S of
+sigma_j's sign on sqrt(d_i).  So sigma_j fixes an element exactly when
+chi_S(sigma_j) = 1 for every monomial S in its support, and the table
+`monomial_discs` of d_S = e_S^2 names the square classes.  A compositum with a
 negative generator is returned as an :class:`ImaginaryCompositum` — a
 degree/containment bookkeeping descriptor with no element arithmetic.
 """
@@ -69,11 +74,7 @@ class MultiquadraticField(NumberField):
         n = 1 << t
         # Monomial basis indexed by bitmasks: index S <-> prod_{i in S} sqrt(d_i);
         # products obey e_S * e_T = (prod_{i in S&T} d_i) * e_{S^T}.
-        disc_prod = [1] * n
-        for s in range(n):
-            for i in range(t):
-                if s & (1 << i):
-                    disc_prod[s] *= gens[i]
+        disc_prod = _over_monomials(gens)
 
         def mono_mul(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
             out = [Fraction(0)] * n
@@ -115,24 +116,18 @@ class MultiquadraticField(NumberField):
 
         self.generators: tuple[int, ...] = gens
         self.t = t
+        # d_S = e_S^2 for every monomial S, in bitmask order.
+        self.monomial_discs: tuple[int, ...] = disc_prod
         self._power_to_mono = pm
         self._mono_to_power = [row[n + 1:] for row in red]
-
-        self._sqrts: dict[int, FieldElement] = {}
-        for i in range(t):
-            self._sqrts[gens[i]] = self.element(
-                [self._mono_to_power[k][1 << i] for k in range(n)]
-            )
+        self._monomial_signs: dict[int, tuple[int, ...]] = {}
         # Chosen embedding: the one where every sqrt generator is positive.
-        chosen = None
-        for j in range(self.n_real_embeddings):
-            if all(sign_at_embedding(self._sqrts[d], j) > 0 for d in gens):
-                chosen = j
-                break
+        # gamma is largest there, and real roots are ascending: search down.
+        chosen = next((j for j in reversed(range(self.n_real_embeddings))
+                       if all(c > 0 for c in self.monomial_signs(j))), None)
         if chosen is None:
             raise AssertionError("no all-positive embedding found")
         self.chosen_embedding = chosen
-        self._sign_vectors: dict[int, tuple[int, ...]] = {}
 
     # -- multiquadratic-specific API ----------------------------------------
 
@@ -145,19 +140,16 @@ class MultiquadraticField(NumberField):
             return self.one
         if not self.contains_sqrt(d):
             raise ValueError(f"sqrt({d}) is not in {self!r}")
-        # Find the monomial subset S whose generator product matches d mod
-        # squares, then scale: prod_{i in S} sqrt(d_i) = m * sqrt(d).
-        t, n = self.t, 1 << self.t
-        for s in range(n):
-            prod = 1
-            for i in range(t):
-                if s & (1 << i):
-                    prod *= self.generators[i]
-            ratio = rational_square_root(Fraction(prod, d))
+        # The monomial e_S with d_S = d mod squares is m * sqrt(d), m > 0.
+        for s, ds in enumerate(self.monomial_discs):
+            ratio = rational_square_root(Fraction(ds, d))
             if ratio is not None:
-                mono = self.element([self._mono_to_power[k][s] for k in range(n)])
-                return mono / ratio
+                return self._monomial(s) / ratio
         raise AssertionError("span membership held but no monomial matched")
+
+    def _monomial(self, s: int) -> FieldElement:
+        """The basis element e_S for the bitmask s."""
+        return self.element([row[s] for row in self._mono_to_power])
 
     def to_monomial(self, a: FieldElement) -> list[Fraction]:
         """Coordinates of `a` over the monomial basis (bitmask order)."""
@@ -167,13 +159,22 @@ class MultiquadraticField(NumberField):
             for s in range(n)
         ]
 
+    def monomial_signs(self, j: int) -> tuple[int, ...]:
+        """chi_S(sigma_j) for every monomial S (bitmask order).
+
+        sigma_j(e_S) = chi_S(sigma_j) * e_S, where chi_S(sigma_j) is the
+        product of the signs of sigma_j(sqrt(d_i)) over i in S.
+        """
+        if j not in self._monomial_signs:
+            self._monomial_signs[j] = _over_monomials(
+                sign_at_embedding(self._monomial(1 << i), j) for i in range(self.t)
+            )
+        return self._monomial_signs[j]
+
     def embedding_sign_vector(self, j: int) -> tuple[int, ...]:
         """Signs (sigma_j(sqrt(d_i)))_i characterizing the j-th embedding."""
-        if j not in self._sign_vectors:
-            self._sign_vectors[j] = tuple(
-                sign_at_embedding(self._sqrts[d], j) for d in self.generators
-            )
-        return self._sign_vectors[j]
+        chi = self.monomial_signs(j)
+        return tuple(chi[1 << i] for i in range(self.t))
 
     def galois_action(self, j: int, a) -> FieldElement:
         """The automorphism sending each sqrt(d_i) to its sign at embedding j.
@@ -182,26 +183,23 @@ class MultiquadraticField(NumberField):
         automorphism; evaluating an element at embedding j equals evaluating
         galois_action(j, element) at the chosen embedding.
         """
-        a = self.coerce(a)
-        signs = self.embedding_sign_vector(j)
-        mono = self.to_monomial(a)
-        for s in range(len(mono)):
-            flip = 1
-            for i in range(self.t):
-                if s & (1 << i) and signs[i] < 0:
-                    flip = -flip
-            if flip < 0:
-                mono[s] = -mono[s]
-        n = 1 << self.t
-        coords = [
-            sum(self._mono_to_power[k][s] * mono[s] for s in range(n))
-            for k in range(n)
-        ]
-        return self.element(coords)
+        chi = self.monomial_signs(j)
+        mono = [c * x for c, x in zip(chi, self.to_monomial(self.coerce(a)))]
+        return self.element(
+            [sum(r * x for r, x in zip(row, mono)) for row in self._mono_to_power]
+        )
 
     def __repr__(self) -> str:
         gens = ", ".join(f"sqrt({d})" for d in self.generators)
         return f"MultiquadraticField(Q({gens}), degree {self.degree})"
+
+
+def _over_monomials(factors: Iterable[int]) -> tuple[int, ...]:
+    """prod_{i in S} factors[i] for every bitmask S, in bitmask order."""
+    out = [1]
+    for f in factors:
+        out += [f * x for x in out]
+    return tuple(out)
 
 
 def multiquadratic_field(

@@ -393,11 +393,6 @@ def is_algebraic_integer(a: FieldElement) -> bool:
     return all(c.denominator == 1 for c in cp)
 
 
-def element_charpoly(a: FieldElement) -> P.Poly:
-    """Characteristic polynomial of multiplication by `a` (monic, ascending)."""
-    return P.charpoly_rational(multiplication_matrix(a))
-
-
 # ---------------------------------------------------------------------------
 # Square testing
 # ---------------------------------------------------------------------------

@@ -235,34 +235,8 @@ def refine_interval(
 
 
 # ---------------------------------------------------------------------------
-# Resultants and rational matrices
+# Rational matrices
 # ---------------------------------------------------------------------------
-
-
-def resultant(f: Poly, g: Poly) -> Fraction:
-    """Res(f, g) via the Euclidean remainder sequence."""
-    if not f or not g:
-        return Fraction(0)
-    a, b = f, g
-    res = Fraction(1)
-    while True:
-        da, db = degree(a), degree(b)
-        if db == 0:
-            return res * b[0] ** da
-        r = poly_mod(a, b)
-        if not r:
-            return Fraction(0)
-        dr = degree(r)
-        res *= Fraction(-1) ** (da * db) * leading(b) ** (da - dr)
-        a, b = b, r
-
-
-def discriminant(f: Poly) -> Fraction:
-    n = degree(f)
-    if n < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    r = resultant(f, poly_derivative(f))
-    return Fraction(-1) ** (n * (n - 1) // 2) * r / leading(f)
 
 
 def charpoly_rational(rows: Sequence[Sequence[Fraction]]) -> Poly:

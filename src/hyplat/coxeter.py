@@ -12,7 +12,10 @@ the cyclic-product criterion: with b_ij = 2 g_ij, the field K generated by
 the products b over simple cycles (plus the edge squares b_ij^2) must be
 totally real, every nonidentity embedding of K must send the Gram matrix to
 a positive semidefinite one, and — for full arithmeticity rather than mere
-quasi-arithmeticity — every cycle value must be an algebraic integer.
+quasi-arithmeticity — every cycle value must be an algebraic integer.  K and
+its embeddings come from the monomial supports of the cycle values: each
+entry-field automorphism multiplies the monomial prod_{i in S} sqrt(d_i) by a
+sign, and fixes a value exactly when that sign is +1 on its whole support.
 """
 
 from __future__ import annotations
@@ -25,11 +28,7 @@ from typing import Iterable, Sequence
 
 from hyplat.algebra.arith import square_class_basis
 from hyplat.algebra.multiquadratic import MultiquadraticField
-from hyplat.algebra.numberfield import (
-    FieldElement,
-    is_algebraic_integer,
-    sign_at_embedding,
-)
+from hyplat.algebra.numberfield import FieldElement, is_algebraic_integer
 from hyplat.errors import (
     CertificateError,
     NotHyperbolic,
@@ -381,7 +380,6 @@ def simple_cycles(diagram: CoxeterDiagram) -> list[tuple[int, ...]]:
 @dataclass
 class ArithmeticityReport:
     cycle_values: list[tuple[str, FieldElement]]  # (description, value)
-    cycle_field_generators: list[FieldElement]
     field_square_generators: tuple[int, ...]  # K = Q(sqrt d : d here)
     field_degree: int
     totally_real: bool
@@ -393,6 +391,34 @@ class ArithmeticityReport:
 
     def __bool__(self) -> bool:
         return self.verdict == ARITHMETIC
+
+
+def _cycle_field(
+    values: Iterable[FieldElement],
+) -> tuple[list[tuple[int, bool]], tuple[int, ...], int]:
+    """(embedding, moves K) pairs, square-class generators and degree of the
+    field K that entry-field values generate.
+
+    Embedding sigma_j multiplies each monomial e_S = prod_{i in S} sqrt(d_i)
+    by the sign chi_S(sigma_j), so it moves K exactly when chi_S(sigma_j) = -1
+    for some nonconstant S in the support of some value, and
+    K = Q(sqrt(d_S) : S in the supports).  The index of the fixing subgroup
+    and the GF(2) rank of the d_S are two independent routes to the degree.
+    """
+    E = entry_field()
+    supports = {s for v in values for s, c in enumerate(E.to_monomial(v)) if s and c}
+    restrictions = [
+        (j, any(E.monomial_signs(j)[s] < 0 for s in supports))
+        for j in range(E.n_real_embeddings)
+    ]
+    degree = E.n_real_embeddings // sum(not moves for _, moves in restrictions)
+    square_gens = square_class_basis(E.monomial_discs[s] for s in supports)
+    if degree != 1 << len(square_gens):
+        raise CertificateError(
+            f"cycle field has degree {degree} but its square classes "
+            f"{square_gens} generate degree {1 << len(square_gens)}"
+        )
+    return restrictions, square_gens, degree
 
 
 def vinberg_arithmeticity(diagram: CoxeterDiagram) -> ArithmeticityReport:
@@ -407,6 +433,8 @@ def vinberg_arithmeticity(diagram: CoxeterDiagram) -> ArithmeticityReport:
     original by a diagonal sign rescale, so they are excluded); (c) every
     cycle value is an algebraic integer.  Arithmetic = a and b and c;
     QuasiArithmeticOnly = a and b and not c; Neither otherwise.
+
+    K is read off the monomial supports of the cycle values (`_cycle_field`).
     """
     base = classify(diagram)
     if base.kind != HYPERBOLIC:
@@ -429,54 +457,14 @@ def vinberg_arithmeticity(diagram: CoxeterDiagram) -> ArithmeticityReport:
             prod = prod * (two * G[i - 1, j - 1])
         values.append(("cycle " + "-".join(map(str, cyc)), prod))
 
-    # The subgroup of entry-field embeddings fixing every cycle value; its
-    # fixed field is exactly K.
-    fixing: list[int] = []
-    restrictions: list[tuple[int, bool]] = []
-    for j in range(E.n_real_embeddings):
-        moves = any(E.galois_action(j, v) != v for _, v in values)
-        restrictions.append((j, moves))
-        if not moves:
-            fixing.append(j)
-    field_degree = E.n_real_embeddings // len(fixing)
-
-    # Square classes fixed by the whole fixing subgroup: sqrt(d) in K.
-    fixed_squares = []
-    for d in (2, 3, 5, 6, 10, 15, 30):
-        root = E.sqrt(d)
-        if all(E.galois_action(j, root) == root for j in fixing):
-            fixed_squares.append(d)
-    square_gens = square_class_basis(fixed_squares)
-    if field_degree != 1 << len(square_gens):
-        raise CertificateError(
-            f"cycle field has degree {field_degree} but its square classes "
-            f"{square_gens} generate degree {1 << len(square_gens)}"
-        )
-
-    # A small generating set of cycle values: greedily shrink the fixing
-    # subgroup down to `fixing`.
-    gens: list[FieldElement] = []
-    current = list(range(E.n_real_embeddings))
-    seen: set[FieldElement] = set()
-    for _, v in values:
-        if v in seen:
-            continue
-        seen.add(v)
-        kept = [j for j in current if E.galois_action(j, v) == v]
-        if len(kept) < len(current):
-            gens.append(v)
-            current = kept
-        if len(current) == len(fixing):
-            break
+    restrictions, square_gens, field_degree = _cycle_field(v for _, v in values)
 
     certificate = None
     semidefinite = True
     profile = _signature_profile(diagram)
-    for j in range(E.n_real_embeddings):
-        if j == E.chosen_embedding or j in fixing:
-            continue
+    for j, moves in restrictions:  # the chosen embedding never moves K
         sig = profile[j]
-        if sig[1] != 0:
+        if moves and sig[1] != 0:
             semidefinite = False
             certificate = (
                 f"embedding {j} moves the cycle field but the conjugated "
@@ -503,7 +491,6 @@ def vinberg_arithmeticity(diagram: CoxeterDiagram) -> ArithmeticityReport:
 
     return ArithmeticityReport(
         cycle_values=values,
-        cycle_field_generators=gens,
         field_square_generators=square_gens,
         field_degree=field_degree,
         totally_real=True,

@@ -91,10 +91,6 @@ class Matrix:
             [[es[i] if i == j else field.zero for j in range(n)] for i in range(n)],
         )
 
-    @classmethod
-    def from_columns(cls, field, cols: Sequence[Sequence]) -> "Matrix":
-        return cls(field, cols).transpose()
-
     # -- shape / access -------------------------------------------------------
 
     @property

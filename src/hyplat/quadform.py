@@ -49,7 +49,6 @@ from hyplat.errors import (
 __all__ = [
     "QuadraticSpace",
     "AdmissibilityReport",
-    "HyperboloidReport",
     "IsometryVerdict",
     "SimilarityVerdict",
     "CommensurabilityVerdict",
@@ -62,7 +61,6 @@ __all__ = [
     "rational_diagonal",
     "relevant_primes",
     "is_admissible",
-    "hyperboloid_membership",
     "isometric_over_Q",
     "similar",
     "commensurable",
@@ -90,8 +88,8 @@ class QuadraticSpace:
     flagged and rejected by every classification routine.
 
     The Gram matrix is immutable, so it is congruence-diagonalized at most
-    once, on first use; signatures at every embedding, diagonal entries and
-    the hyperboloid reference vector are all read from that one result.
+    once, on first use; signatures at every embedding and diagonal entries
+    are read from that one result.
     """
 
     def __init__(self, field: NumberField, gram: Matrix, allow_degenerate: bool = False):
@@ -179,7 +177,7 @@ def direct_sum(a: QuadraticSpace, b: QuadraticSpace) -> QuadraticSpace:
 
 
 # ---------------------------------------------------------------------------
-# Admissibility and the hyperboloid model
+# Admissibility
 # ---------------------------------------------------------------------------
 
 
@@ -220,38 +218,6 @@ def is_admissible(space: QuadraticSpace) -> AdmissibilityReport:
                 f"signature at embedding {j} is {sj}, expected positive definite"
             )
     return AdmissibilityReport(not reasons, reasons, sig, definite)
-
-
-@dataclass
-class HyperboloidReport:
-    value: FieldElement          # q(v)
-    timelike: bool               # q(v) < 0 at the chosen embedding
-    on_unit_quadric: bool        # q(v) == -1 exactly
-    sheet: int | None            # +1 upper / -1 lower (None if not timelike)
-
-
-def hyperboloid_membership(space: QuadraticSpace, v: Sequence) -> HyperboloidReport:
-    """Locate a vector relative to the two-sheeted hyperboloid q = -1.
-
-    The sheet is determined against a fixed timelike reference vector (the
-    diagonalizing basis vector carrying the negative entry), so repeated
-    calls classify vectors consistently.  Requires an admissible space.
-    """
-    report = is_admissible(space)
-    if not report:
-        raise NotAdmissible("; ".join(report.reasons))
-    val = space.evaluate(v)
-    s = sign_at_embedding(val)
-    timelike = s < 0
-    sheet = None
-    if timelike:
-        D, T = space._diagonalize()
-        neg = next(i for i, d in enumerate(D) if sign_at_embedding(d) < 0)
-        ref = T.col(neg)
-        pairing = sign_at_embedding(space.inner_product(ref, v))
-        # <ref, v> cannot vanish for timelike v (both in the open cone).
-        sheet = 1 if pairing < 0 else -1
-    return HyperboloidReport(val, timelike, val == -1, sheet)
 
 
 # ---------------------------------------------------------------------------

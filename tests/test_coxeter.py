@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyplat.algebra.arith import square_class_basis
 from hyplat.algebra.numberfield import approx_at_embedding, is_algebraic_integer
 from hyplat.coxeter import (
     ARITHMETIC,
@@ -31,6 +32,7 @@ from hyplat.coxeter import (
     unsplittable_check,
     vinberg_arithmeticity,
 )
+from hyplat.coxeter import _cycle_field
 from hyplat.errors import NotHyperbolic, ParseError, RankTooLarge, UnsupportedLabel
 from hyplat.linalg import signature_at
 
@@ -425,6 +427,26 @@ class TestArithmeticity:
         cycle_keys = [k for k in by_name if "-" in k and k.count("-") >= 5]
         (key,) = cycle_keys
         assert by_name[key] == E.sqrt(2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.dictionaries(st.integers(0, 7), st.fractions(-3, 3, max_denominator=4),
+                        max_size=4),
+        min_size=1, max_size=4,
+    ))
+    def test_cycle_field_from_supports_matches_galois_action(self, coordinates):
+        # Values sum c_S sqrt(d_S) from random monomial coordinates; the
+        # automorphisms themselves are the reference for the sign rule.
+        E = entry_field()
+        values = [sum((c * E.sqrt(E.monomial_discs[s]) for s, c in v.items()), E.zero)
+                  for v in coordinates]
+        restrictions, square_gens, degree = _cycle_field(values)
+        fixing = [j for j in range(8) if all(E.galois_action(j, v) == v for v in values)]
+        assert [j for j, moves in restrictions if not moves] == fixing
+        assert degree == 8 // len(fixing)
+        fixed = [d for d in (2, 3, 5, 6, 10, 15, 30)
+                 if all(E.galois_action(j, E.sqrt(d)) == E.sqrt(d) for j in fixing)]
+        assert square_gens == square_class_basis(fixed)
 
     def test_not_hyperbolic_rejected(self):
         with pytest.raises(NotHyperbolic):

@@ -1,14 +1,19 @@
 """Byte-for-byte golden reports of the command line.
 
 Each file under ``tests/golden/`` is the canonical ``--json`` report of one
-command on one input: ``coxeter analyze`` on the bundled figures, and
-``hybrid verify``, ``hybrid angle``, ``form check`` and ``form
-commensurable`` on the complexes and forms in ``tests/golden/inputs/`` over
-Q(sqrt 2), Q(sqrt 5), x^3 - 3x + 1 and x^4 - 14x^2 + 9.  Any change to a
-verdict, a certificate or the report layout shows up here as a diff.  The
-last tests run the CLI in a fresh interpreter: under ``python -O`` (the only
-run of the field reports, and a merged multi-figure ``coxeter analyze``
-report), and to see which modules it loads.
+command on one input: ``coxeter analyze`` on the bundled figures and on
+three catalog diagrams (a cycle field of degree 4, one of degree 8, and a
+non-simplex with splitting candidates); ``hybrid verify``, ``hybrid angle``,
+``form check`` and ``form commensurable`` on the complexes and forms in
+``tests/golden/inputs/`` over Q(sqrt 2), Q(sqrt 5), x^3 - 3x + 1 and
+x^4 - 14x^2 + 9; and ``links compose`` on an inline sum and on a script.
+Any change to a verdict, a certificate or the report layout shows up here
+as a diff.  The ``coxeter analyze`` reports are also compared in process
+with ``MultiquadraticField.galois_action`` disabled: cycle fields come from
+monomial supports alone.  The last tests run the CLI in a fresh
+interpreter: under ``python -O`` (the only run of the other reports, and a
+merged multi-figure ``coxeter analyze`` report), and to see which modules
+it loads.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from hyplat.algebra.multiquadratic import MultiquadraticField
 from hyplat.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -49,10 +55,16 @@ ANGLES = {
     "quartic_plane": ("quartic_a", "1,0,0,1", "1,0,0,0;0,1,0,0"),
     "quartic_hyperplane": ("quartic_a", "t,1,0,1", "1,0,0,0;0,1,0,0;0,0,1,0"),
 }
+CATALOG = sorted(p.stem for p in INPUTS.glob("*.cox"))
+# links compose: golden name -> inline sum or script file
+LINKS = {"chain5_whitehead_chain3": "chain5+whitehead+chain3", "belted_script": "belted.lcs"}
 # golden file (relative to GOLDEN) -> argv, run from INPUTS
 CASES = {
     **{f"coxeter_analyze/{f}.json": ["coxeter", "analyze", f"figures/{f}.cox"]
        for f in FIGURES},
+    **{f"coxeter_catalog/{f}.json": ["coxeter", "analyze", f"{f}.cox"] for f in CATALOG},
+    **{f"links_compose/{name}.json": ["links", "compose", token]
+       for name, token in LINKS.items()},
     **{f"hybrid_verify/{c}.json": ["hybrid", "verify", f"{c}.cpx"] for c in COMPLEXES},
     **{f"form_commensurable/{name}.json": ["form", "commensurable", f"{a}.form", f"{b}.form"]
        for name, (a, b) in FORM_PAIRS.items()},
@@ -60,7 +72,8 @@ CASES = {
     **{f"hybrid_angle/{name}.json": ["hybrid", "angle", f"{form}.form", "--e", e, "--z", z]
        for name, (form, e, z) in ANGLES.items()},
 }
-FIELD_CASES = sorted(c for c in CASES if not c.startswith("coxeter_analyze/"))
+# Compared file by file under python -O; the figures go through one merged run.
+PER_FILE_CASES = sorted(c for c in CASES if not c.startswith("coxeter_analyze/"))
 
 
 def test_every_bundled_figure_has_a_golden_report():
@@ -69,18 +82,41 @@ def test_every_bundled_figure_has_a_golden_report():
     assert FIGURES == sorted(p.stem for p in bundled_path("figures").glob("*.cox"))
 
 
-@pytest.mark.parametrize("figure", FIGURES)
-def test_coxeter_analyze_report_matches_golden(figure, tmp_path, capsys):
+@pytest.fixture
+def no_galois_action(monkeypatch):
+    """The coxeter path reads cycle fields from supports, never from the
+    automorphisms themselves."""
+    def refuse(self, j, a):
+        raise AssertionError("galois_action called on the coxeter path")
+
+    monkeypatch.setattr(MultiquadraticField, "galois_action", refuse)
+
+
+def _compare_in_process(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(INPUTS)
     out = tmp_path / "report.json"
-    assert main(["coxeter", "analyze", f"figures/{figure}.cox", "--json", str(out)]) == 0
+    assert main([*CASES[name], "--json", str(out)]) == 0
     capsys.readouterr()
-    expected = (GOLDEN / "coxeter_analyze" / f"{figure}.json").read_bytes()
-    assert out.read_bytes() == expected
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.usefixtures("no_galois_action")
+@pytest.mark.parametrize("figure", FIGURES)
+def test_coxeter_analyze_report_matches_golden(figure, tmp_path, monkeypatch, capsys):
+    _compare_in_process(f"coxeter_analyze/{figure}.json", tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.usefixtures("no_galois_action")
+@pytest.mark.parametrize("diagram", CATALOG)
+def test_coxeter_catalog_report_matches_golden(diagram, tmp_path, monkeypatch, capsys):
+    _compare_in_process(f"coxeter_catalog/{diagram}.json", tmp_path, monkeypatch, capsys)
 
 
 def test_every_golden_input_is_used():
     used = {a for pair in FORM_PAIRS.values() for a in pair}
     assert used == {p.stem for p in INPUTS.glob("*.form")}
+    arguments = {a for argv in CASES.values() for a in argv}
+    assert {p.name for p in INPUTS.glob("*.*") if p.suffix != ".form"} <= arguments
     assert sorted(CASES) == sorted(
         str(p.relative_to(GOLDEN)) for p in GOLDEN.glob("*/*.json"))
 
@@ -103,21 +139,21 @@ def _run_cli_subprocess(*args: str) -> str:
 def test_goldens_hold_under_python_O(tmp_path):
     """``python -O`` strips asserts; every certificate check must survive it.
 
-    The field reports are compared file by file; the figures go through
-    ``python -O -m hyplat.cli`` in one call that writes one report to
-    stdout, which must be the per-figure goldens with ``inputs`` merged and
-    ``results`` concatenated in input order.
+    Every report but the figures' is compared file by file; the figures go
+    through ``python -O -m hyplat.cli`` in one call that writes one report
+    to stdout, which must be the per-figure goldens with ``inputs`` merged
+    and ``results`` concatenated in input order.
     """
     out = _run_cli_subprocess(
         "-O", "-c",
         "import os\nfrom hyplat.cli import main\n"
         f"os.chdir({str(INPUTS)!r})\n"
-        f"cases = {[(name, CASES[name]) for name in FIELD_CASES]!r}\n"
+        f"cases = {[(name, CASES[name]) for name in PER_FILE_CASES]!r}\n"
         "print([main([*argv, '--json', os.path.join("
         f"{str(tmp_path)!r}, name.replace('/', '_'))]) for name, argv in cases])",
     )
-    assert out.splitlines()[-1] == str([0] * len(FIELD_CASES))
-    for name in FIELD_CASES:
+    assert out.splitlines()[-1] == str([0] * len(PER_FILE_CASES))
+    for name in PER_FILE_CASES:
         got = (tmp_path / name.replace("/", "_")).read_bytes()
         assert got == (GOLDEN / name).read_bytes(), name
 

@@ -33,7 +33,6 @@ from hyplat.quadform import (
     disc_class,
     hasse_invariant,
     hilbert_symbol,
-    hyperboloid_membership,
     is_admissible,
     isometric_over_Q,
     rational_diagonal,
@@ -182,20 +181,6 @@ def test_admissibility_over_real_quadratic():
     sp0 = QuadraticSpace.diagonal(K0, [1, 1, -K0.gen])
     rep = is_admissible(sp0)
     assert not rep
-
-
-def test_hyperboloid_membership():
-    sp = QuadraticSpace.diagonal(QQ, [1, 1, 1, -1])
-    r = hyperboloid_membership(sp, [0, 0, 0, 1])
-    assert r.timelike and r.on_unit_quadric and r.sheet == 1
-    r2 = hyperboloid_membership(sp, [0, 0, 0, -1])
-    assert r2.timelike and r2.on_unit_quadric and r2.sheet == -1
-    r3 = hyperboloid_membership(sp, [0, 0, 0, 2])
-    assert r3.timelike and not r3.on_unit_quadric and r3.sheet == 1
-    r4 = hyperboloid_membership(sp, [1, 0, 0, 0])
-    assert not r4.timelike and r4.sheet is None
-    with pytest.raises(NotAdmissible):
-        hyperboloid_membership(QuadraticSpace.diagonal(QQ, [1, 1]), [1, 0])
 
 
 # ---------------------------------------------------------------------------
