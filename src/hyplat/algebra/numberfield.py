@@ -3,11 +3,18 @@
 A field K = Q[x]/(f) is represented by f (monic, integral, irreducible,
 ascending coefficients) together with Sturm isolating intervals for its real
 roots and a *chosen* real embedding used wherever a single archimedean place
-is needed (signatures, positivity, hyperboloid membership).  Elements are
-coordinate vectors over the power basis 1, t, ..., t^(d-1) with Fraction
-entries; all arithmetic is exact.  Construction proves f irreducible by
-factoring it over the integers (`polynomials.factor_squarefree`), for every
-degree, with no library outside the package.
+is needed (signatures, positivity).  Elements are coordinate vectors over
+the power basis 1, t, ..., t^(d-1) with Fraction entries; all arithmetic is
+exact.  Construction proves f irreducible by factoring it over the integers
+(`polynomials.factor_squarefree`), for every degree, with no library
+outside the package.
+
+Real places are computed over the integers.  The Cauchy bound of a monic
+integer f is an integer and every split or bisection takes a midpoint, so
+the isolating intervals have dyadic endpoints; each is kept as integer
+numerators over one power of 2 and refined in place.  Signs and enclosures
+of an element at a real root are integer Horner on its coordinates over
+their common denominator, at those endpoints; every sign is exact.
 
 Over a totally real field `is_square` decides squares exactly: the traces of
 an integral multiple of a square root are rational integers, which interval
@@ -20,7 +27,7 @@ instance.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
+from math import isqrt
 from typing import Iterable, Sequence
 
 from hyplat.algebra import polynomials as P
@@ -69,7 +76,12 @@ class NumberField:
             _check_irreducible(f)
         self.poly: P.Poly = f
         self.degree: int = P.degree(f)
-        self.real_roots: list[tuple[Fraction, Fraction]] = P.isolate_real_roots(f)
+        # Progressively refined isolating intervals (lo, hi, m) for
+        # [lo/m, hi/m], m a power of 2, refined in place by `_refine`.
+        self._intervals: list[tuple[int, int, int]] = P.isolate_real_roots(f)
+        self.real_roots: list[tuple[Fraction, Fraction]] = [
+            (Fraction(lo, m), Fraction(hi, m)) for lo, hi, m in self._intervals
+        ]
         if not self.real_roots:
             raise ValueError(
                 "defining polynomial has no real root; totally imaginary fields "
@@ -83,8 +95,7 @@ class NumberField:
                 f"{len(self.real_roots)} real roots"
             )
         self.chosen_embedding: int = embedding % len(self.real_roots)
-        # Mutable cache of progressively refined isolating intervals.
-        self._intervals: list[tuple[Fraction, Fraction]] = list(self.real_roots)
+        self._coeffs: list[int] = [int(c) for c in f]
         self._trace_inv: list[list[Fraction]] | None = None
 
     # -- identity ----------------------------------------------------------
@@ -156,13 +167,15 @@ class NumberField:
 
     # -- embeddings ---------------------------------------------------------
 
-    def _refine(self, j: int, width: Fraction | None = None) -> tuple[Fraction, Fraction]:
-        """Shrink root j's interval below `width` (default: by 16x) and keep it."""
-        lo, hi = self._intervals[j]
+    def _refine(self, j: int, width: Fraction | None = None) -> tuple[int, int, int]:
+        """Shrink root j's interval [lo/m, hi/m] below `width` (default: by
+        16x), keep it and return (lo, hi, m)."""
+        lo, hi, m = self._intervals[j]
         if lo != hi:
-            lo, hi = P.refine_interval(self.poly, lo, hi, width or (hi - lo) / 16)
-            self._intervals[j] = (lo, hi)
-        return lo, hi
+            width = width or Fraction(hi - lo, 16 * m)
+            lo, hi, m = P.refine_interval(self._coeffs, lo, hi, m, width)
+            self._intervals[j] = (lo, hi, m)
+        return lo, hi, m
 
     def _trace_inverse(self) -> list[list[Fraction]]:
         """Inverse of the integer trace matrix (Tr t^(i+k)), det = disc f."""
@@ -318,24 +331,27 @@ def sign_at_embedding(a: FieldElement, j: int | None = None) -> int:
     Certified by interval arithmetic over the isolating interval of the root:
     the interval is refined until the interval image of a's representative
     polynomial excludes zero, which terminates because a nonzero element
-    cannot vanish at a root of the irreducible defining polynomial.
+    cannot vanish at a root of the irreducible defining polynomial.  The
+    enclosures are integer Horner on a's coordinates over their common
+    denominator, at the dyadic endpoints of the interval
+    (`P.interval_eval`), so no step builds a Fraction.
     """
     K = a.field
     if j is None:
         j = K.chosen_embedding
     if not a:
         return 0
-    g = P.poly(a.coords)
-    lo, hi = K._intervals[j]
+    G = P.integer_numerators(a.coords)[0]
+    lo, hi, m = K._intervals[j]
     if lo == hi:
-        return P.poly_sign(g, lo)
+        return P.poly_sign(G, lo, m)
     while True:
-        mlo, mhi = P.interval_eval(g, lo, hi)
-        if mlo > 0:
+        L, H = P.interval_eval(G, lo, hi, m)
+        if L > 0:
             return 1
-        if mhi < 0:
+        if H < 0:
             return -1
-        lo, hi = K._refine(j)
+        lo, hi, m = K._refine(j)
 
 
 def approx_at_embedding(
@@ -345,18 +361,19 @@ def approx_at_embedding(
     K = a.field
     if j is None:
         j = K.chosen_embedding
-    g = P.poly(a.coords)
-    if not g:
+    if not a:
         return Fraction(0)
-    tol = Fraction(1, 10**digits)
-    lo, hi = K._intervals[j]
+    G, D = P.integer_numerators(a.coords)
+    lo, hi, m = K._intervals[j]
     if lo == hi:
-        return P.poly_eval(g, lo)
+        return P.poly_eval(a.coords, Fraction(lo, m))
     while True:
-        mlo, mhi = P.interval_eval(g, lo, hi)
-        if mhi - mlo <= 2 * tol:
-            return (mlo + mhi) / 2
-        lo, hi = K._refine(j)
+        # [L, H] / (D m^e) encloses a's value; stop once it is 2*10^-digits wide.
+        L, H = P.interval_eval(G, lo, hi, m)
+        scale = D * m ** (len(G) - 1)
+        if (H - L) * 10**digits <= 2 * scale:
+            return Fraction(L + H, 2 * scale)
+        lo, hi, m = K._refine(j)
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +434,20 @@ def _fixed_mul(x: tuple[int, int], y: tuple[int, int], p: int) -> tuple[int, int
     return min(c) >> p, -(-max(c) >> p)
 
 
-def _trace_terms(K: NumberField, A: P.Poly) -> tuple[list[list[tuple[int, int]]], int]:
+def _trace_terms(K: NumberField, A: list[int]) -> tuple[list[list[tuple[int, int]]], int]:
     """Enclosures [L, H] * 2^-p of sqrt(A(r_j)) * r_j^k for every real root
-    r_j and every k < d, fine enough that sum_j (H - L) < 2^p for each k."""
+    r_j and every k < d, fine enough that sum_j (H - L) < 2^p for each k.
+    A has integer coefficients; A(r_j) is enclosed by `P.interval_eval`."""
     d, p = K.degree, 64
     while True:
         terms = []
         for j in range(d):
-            lo, hi = K._refine(j, Fraction(1, 1 << p))
-            alo, ahi = P.interval_eval(A, lo, hi)
-            row = [(isqrt(max(floor(alo * 4**p), 0)), isqrt(ceil(ahi * 4**p)) + 1)]
-            root = (floor(lo * 2**p), ceil(hi * 2**p))
+            lo, hi, m = K._refine(j, Fraction(1, 1 << p))
+            alo, ahi = P.interval_eval(A, lo, hi, m)  # m^e A(r_j)
+            scale = m ** (len(A) - 1)
+            row = [(isqrt(max((alo << 2 * p) // scale, 0)),
+                    isqrt(-((-ahi << 2 * p) // scale)) + 1)]
+            root = ((lo << p) // m, -((-hi << p) // m))
             for _ in range(d - 1):
                 row.append(_fixed_mul(row[-1], root, p))
             terms.append(row)
@@ -470,8 +490,8 @@ def is_square(a: FieldElement) -> FieldElement | None:
         if r is not None:
             return K.from_fraction(r)
         # A rational non-square may still be a square in K; fall through.
-    q = lcm(*(c.denominator for c in a.coords))
-    terms, p = _trace_terms(K, P.poly(c * q * q for c in a.coords))
+    A, q = P.integer_numerators(a.coords)  # A = q*a
+    terms, p = _trace_terms(K, [c * q for c in A])
     inverse = K._trace_inverse()
     for mask in range(1 << (d - 1)):
         traces = []

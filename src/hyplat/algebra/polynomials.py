@@ -5,6 +5,12 @@ trailing zeros; the zero polynomial is the empty tuple.  This module carries
 the exact real-root machinery (Sturm chains, isolating intervals, interval
 refinement) that the number-field layer builds on, and the factorization
 over the integers (`factor_squarefree`) that decides irreducibility.
+
+Real signs are exact and computed over the integers: a polynomial is
+cleared to its integer numerators once (`integer_numerators`), a point or
+an interval is kept as integer numerators over one common denominator, and
+`poly_sign`, `interval_eval` and `refine_interval` evaluate by integer
+Horner, with no Fraction built per step.
 """
 
 from __future__ import annotations
@@ -118,27 +124,79 @@ def poly_eval(f: Poly, x: Fraction | int) -> Fraction:
     return acc
 
 
-def poly_sign(f: Poly, x: Fraction | int) -> int:
-    """Sign of f(x) for x = n/m, by Horner over the integers on D m^d f(x),
-    with D the common denominator of f's coefficients."""
-    n, m, den = x.numerator, x.denominator, lcm(*(Fraction(c).denominator for c in f))
+def is_squarefree(f: Poly) -> bool:
+    return degree(poly_gcd(f, poly_derivative(f))) <= 0
+
+
+# ---------------------------------------------------------------------------
+# Signs and enclosures over the integers
+# ---------------------------------------------------------------------------
+#
+# A real interval [lo/m, hi/m] is kept as integer numerators over one common
+# denominator m > 0, and a polynomial f as D*f, its integer numerators over
+# the least common denominator D of its coefficients.  Every sign and
+# enclosure below is then computed by Horner's rule on integers, m^e D f(x)
+# for e = deg f, which has the sign of f(x) and needs no gcd per step.
+
+
+def integer_numerators(f: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(F, D): D the least common denominator of f's coefficients and
+    F = D*f, an integer polynomial with the signs of f."""
+    D = lcm(*(c.denominator for c in f))
+    return [c.numerator * (D // c.denominator) for c in f], D
+
+
+def poly_sign(F: Sequence[int], n: int, m: int) -> int:
+    """Sign of F(n/m) for integer coefficients F and m > 0: the sign of
+    m^e F(n/m) = sum F_k n^k m^(e-k), by Horner over the integers.  For a
+    rational polynomial f, F = `integer_numerators(f)[0]` has f's signs."""
     acc, mpow = 0, 1
-    for c in reversed(f):
-        acc, mpow = acc * n + int(c * den) * mpow, mpow * m
+    for c in reversed(F):
+        acc, mpow = acc * n + c * mpow, mpow * m
     return (acc > 0) - (acc < 0)
 
 
-def interval_eval(f: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval Horner evaluation: encloses {f(x) : lo <= x <= hi}."""
-    mlo = mhi = Fraction(0)
-    for c in reversed(f):
-        candidates = (mlo * lo, mlo * hi, mhi * lo, mhi * hi)
-        mlo, mhi = min(candidates) + c, max(candidates) + c
-    return mlo, mhi
+def interval_eval(F: Sequence[int], lo: int, hi: int, m: int) -> tuple[int, int]:
+    """Integers [L, H] enclosing {m^e F(x) : lo/m <= x <= hi/m}, e = len(F) - 1.
+
+    Interval Horner: each step multiplies the enclosure by [lo, hi] and adds
+    F_k m^(e-k).  This is the rational interval Horner on [lo/m, hi/m]
+    scaled by m^e > 0, so both give the same enclosure up to that factor.
+    """
+    L = H = 0
+    mpow = 1
+    for c in reversed(F):
+        products = (L * lo, L * hi, H * lo, H * hi)
+        c *= mpow
+        L, H, mpow = min(products) + c, max(products) + c, mpow * m
+    return L, H
 
 
-def is_squarefree(f: Poly) -> bool:
-    return degree(poly_gcd(f, poly_derivative(f))) <= 0
+def refine_interval(
+    F: Sequence[int], lo: int, hi: int, m: int, width: Fraction
+) -> tuple[int, int, int]:
+    """Shrink the isolating interval [lo/m, hi/m] of a root of the integer
+    polynomial F below `width` by sign bisection; returns (lo, hi, m).
+
+    Each step doubles m, so the midpoint lo + hi stays an integer numerator
+    and dyadic endpoints stay dyadic.  Requires F(lo/m) != 0 and a single
+    root inside; exact points (lo == hi) pass through, and a rational root
+    hit by a midpoint collapses the interval onto it.
+    """
+    if lo == hi:
+        return lo, hi, m
+    flo = poly_sign(F, lo, m)
+    wn, wd = width.numerator, width.denominator
+    while (hi - lo) * wd > wn * m:
+        mid, lo, hi, m = lo + hi, 2 * lo, 2 * hi, 2 * m
+        fmid = poly_sign(F, mid, m)
+        if fmid == 0:
+            return mid, mid, m
+        if fmid == flo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, m
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +214,15 @@ def sturm_chain(f: Poly) -> list[Poly]:
     return chain
 
 
-def _sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = [s for s in (poly_sign(p, x) for p in chain) if s]
+def _sign_variations(chain: Sequence[Sequence[int]], n: int, m: int) -> int:
+    signs = [s for s in (poly_sign(F, n, m) for F in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_in(chain: Sequence[Poly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b] (f squarefree at chain[0])."""
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
+def count_roots_in(chain: Sequence[Sequence[int]], a: int, b: int, m: int) -> int:
+    """Number of distinct real roots in (a/m, b/m] of the squarefree chain[0],
+    for a Sturm chain cleared to integer numerators."""
+    return _sign_variations(chain, a, m) - _sign_variations(chain, b, m)
 
 
 def cauchy_bound(f: Poly) -> Fraction:
@@ -173,65 +232,46 @@ def cauchy_bound(f: Poly) -> Fraction:
     return 1 + b / lc
 
 
-def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for the distinct real roots of f, ascending.
+def isolate_real_roots(f: Poly) -> list[tuple[int, int, int]]:
+    """Isolating intervals [lo/m, hi/m] for the distinct real roots of f,
+    ascending, as integer triples (lo, hi, m) with m > 0.
 
-    f must be squarefree.  Each interval (lo, hi) has non-root endpoints and
-    contains exactly one root; degenerate [r, r] intervals are returned for
+    f must be squarefree.  Each interval has non-root endpoints and contains
+    exactly one root; degenerate intervals (lo == hi) are returned for
     rational roots (possible only for reducible or degree-1 inputs, which for
-    this package means degree-1 defining polynomials).
+    this package means degree-1 defining polynomials).  The Sturm chain is
+    cleared to integer numerators once and every point is signed by
+    `poly_sign`; for a monic integer f the Cauchy bound is an integer and
+    every split takes a midpoint, so m is a power of 2.
     """
     if degree(f) < 1:
         return []
     if degree(f) == 1:
         r = -f[0] / f[1]
-        return [(r, r)]
-    chain = sturm_chain(f)
+        return [(r.numerator, r.numerator, r.denominator)]
+    chain = [integer_numerators(p)[0] for p in sturm_chain(f)]
     B = cauchy_bound(f)
-    out: list[tuple[Fraction, Fraction]] = []
+    out: list[tuple[int, int, int]] = []
 
-    def split(lo: Fraction, hi: Fraction, n: int) -> None:
+    def split(lo: int, hi: int, m: int, n: int) -> None:
+        # The interval [lo/m, hi/m] holds n roots; midpoints double m.
         if n == 0:
             return
         if n == 1:
-            out.append((lo, hi))
+            out.append((lo, hi, m))
             return
-        mid = (lo + hi) / 2
+        mid, lo, hi, m = lo + hi, 2 * lo, 2 * hi, 2 * m
         # A rational midpoint can be a root only if f has a rational root;
         # nudge until it is not one so (lo,mid] / (mid,hi] counts are exact.
-        while poly_sign(f, mid) == 0:
-            mid = (lo + mid) / 2
-        left = count_roots_in(chain, lo, mid)
-        split(lo, mid, left)
-        split(mid, hi, n - left)
+        while poly_sign(chain[0], mid, m) == 0:
+            mid, lo, hi, m = lo + mid, 2 * lo, 2 * hi, 2 * m
+        left = count_roots_in(chain, lo, mid, m)
+        split(lo, mid, m, left)
+        split(mid, hi, m, n - left)
 
-    total = count_roots_in(chain, -B, B)
-    split(-B, B, total)
-    return sorted(out)
-
-
-def refine_interval(
-    f: Poly, lo: Fraction, hi: Fraction, width: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of f below `width` by sign bisection.
-
-    Requires f(lo) != 0 and a single root in (lo, hi); exact points pass
-    through unchanged.
-    """
-    if lo == hi:
-        return lo, hi
-    flo = poly_sign(f, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fmid = poly_sign(f, mid)
-        if fmid == 0:
-            # Rational root: collapse to an exact point.
-            return mid, mid
-        if fmid == flo:
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return lo, hi
+    b, m = B.numerator, B.denominator
+    split(-b, b, m, count_roots_in(chain, -b, b, m))
+    return out
 
 
 # ---------------------------------------------------------------------------

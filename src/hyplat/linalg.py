@@ -222,9 +222,10 @@ class Matrix:
                 rows[c], rows[pr] = rows[pr], rows[c]
                 det = -det
             det = det * rows[c][c]
-            inv = rows[c][c].inverse()
-            for i in range(c + 1, n):
-                if rows[i][c]:
+            below = [i for i in range(c + 1, n) if rows[i][c]]
+            if below:  # invert the pivot only when there is something to clear
+                inv = rows[c][c].inverse()
+                for i in below:
                     f = rows[i][c] * inv
                     rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
         return det
@@ -284,7 +285,10 @@ def symmetric_diagonalize(G: Matrix) -> tuple[list, Matrix]:
 
     Symmetric pivoting; when the remaining diagonal vanishes but some
     off-diagonal entry g_ij is nonzero, the column operation
-    col_i += col_j creates the pivot 2*g_ij (characteristic zero).
+    col_i += col_j creates the pivot 2*g_ij (characteristic zero).  T is a
+    product of swaps and shears col_i += c*col_j, so det T = +-1 and
+    det G = prod(D); a pivot is inverted only when its row has an entry to
+    clear, so a diagonal G costs no inversion.
     """
     if not G.is_symmetric:
         raise NotSymmetric("symmetric_diagonalize needs a symmetric matrix")
@@ -330,10 +334,10 @@ def symmetric_diagonalize(G: Matrix) -> tuple[list, Matrix]:
                 col_op(i, j, field.one)
                 if i != k:
                     col_swap(k, i)
-        pivot = A[k][k]
-        inv = pivot.inverse()
-        for i in range(k + 1, n):
-            if A[k][i]:
+        clear = [i for i in range(k + 1, n) if A[k][i]]
+        if clear:
+            inv = A[k][k].inverse()
+            for i in clear:
                 col_op(i, k, -(A[k][i] * inv))
     D = [A[i][i] for i in range(n)]
     return D, Matrix(field, T)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 from hyplat.algebra.arith import (
@@ -87,9 +88,11 @@ class QuadraticSpace:
     (restrictions to subspaces must be representable); such spaces are
     flagged and rejected by every classification routine.
 
-    The Gram matrix is immutable, so it is congruence-diagonalized at most
-    once, on first use; signatures at every embedding and diagonal entries
-    are read from that one result.
+    The Gram matrix G is immutable, so it is congruence-diagonalized once,
+    at construction: T^t G T = diag(D).  T is built from swaps and shears
+    only, so det T = +-1 and det G = prod(D) exactly; degeneracy (some D
+    entry is 0), the discriminant, the signatures at every embedding and
+    the diagonal entries are all read from that one elimination.
     """
 
     def __init__(self, field: NumberField, gram: Matrix, allow_degenerate: bool = False):
@@ -99,12 +102,16 @@ class QuadraticSpace:
             raise DimensionMismatch("Gram matrix must be square")
         if not gram.is_symmetric:
             raise NotSymmetric("Gram matrix must be symmetric")
+        self._set(field, gram, symmetric_diagonalize(gram), allow_degenerate)
+
+    def _set(self, field: NumberField, gram: Matrix,
+             diagonalization: tuple[list[FieldElement], Matrix], allow_degenerate: bool) -> None:
         self.field = field
         self.gram = gram
-        self.is_degenerate = not gram.det()
+        self._diagonalization = diagonalization
+        self.is_degenerate = not all(diagonalization[0])
         if self.is_degenerate and not allow_degenerate:
             raise DegenerateRestriction("Gram matrix is singular")
-        self._diagonalization: tuple[list[FieldElement], Matrix] | None = None
         self._profile: tuple[tuple[int, int, int], ...] | None = None
 
     @classmethod
@@ -137,26 +144,25 @@ class QuadraticSpace:
         return QuadraticSpace(self.field, gram, allow_degenerate=True)
 
     def scale(self, lam) -> "QuadraticSpace":
-        return QuadraticSpace(
-            self.field, self.gram * self.field.coerce(lam),
-            allow_degenerate=self.is_degenerate,
-        )
-
-    def _diagonalize(self) -> tuple[list[FieldElement], Matrix]:
-        """(D, T) with T^t G T = diag(D), computed once per space."""
-        if self._diagonalization is None:
-            self._diagonalization = symmetric_diagonalize(self.gram)
-        return self._diagonalization
+        """The space (V, lam*q), diagonalized by (lam*D, T) with no new
+        elimination: for lam != 0, eliminating lam*G would take the same
+        pivots and the same ratios as eliminating G."""
+        lam = self.field.coerce(lam)
+        D, T = self._diagonalization
+        space = QuadraticSpace.__new__(QuadraticSpace)
+        space._set(self.field, self.gram * lam, ([lam * d for d in D], T),
+                   self.is_degenerate)
+        return space
 
     def signature(self, j: int | None = None) -> tuple[int, int, int]:
         if self._profile is None:
             self._profile = diagonal_signature_profile(
-                self.field, self._diagonalize()[0]
+                self.field, self._diagonalization[0]
             )
         return self._profile[self.field.chosen_embedding if j is None else j]
 
     def diagonal_entries(self) -> list[FieldElement]:
-        return list(self._diagonalize()[0])
+        return list(self._diagonalization[0])
 
     def __repr__(self) -> str:
         return f"QuadraticSpace(dim {self.dim} over {self.field!r})"
@@ -524,8 +530,9 @@ def _similar_over_K(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict
             )
         flips.append(allowed)
     if m % 2 == 0:
-        det1, det2 = q1.gram.det(), q2.gram.det()
-        if is_square(det1 * det2) is None:
+        # det G = prod(D) for each space (see QuadraticSpace): no elimination.
+        dets = prod(q1.diagonal_entries() + q2.diagonal_entries(), start=K.one)
+        if is_square(dets) is None:
             return SimilarityVerdict(
                 NOT_SIMILAR, None,
                 "discriminant classes differ (even dimension), no scalar "

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyplat.algebra import polynomials as P
@@ -48,7 +49,7 @@ def test_sturm_counts_quadratic():
     f = P.poly([-2, 0, 1])  # x^2 - 2
     roots = P.isolate_real_roots(f)
     assert len(roots) == 2
-    (a1, b1), (a2, b2) = roots
+    (a1, b1), (a2, b2) = [(F(lo, m), F(hi, m)) for lo, hi, m in roots]
     assert a1 < -F(14142, 10001) < b1 or (a1 <= -1 and b1 >= -2)  # contains -sqrt2
     assert all(P.poly_eval(f, e) != 0 for e in (a1, b1, a2, b2))
 
@@ -62,17 +63,77 @@ def test_isolate_octic_biquadratic():
 
 
 def test_interval_eval_encloses():
+    # [2/4, 3/4] over the common denominator 4; the enclosure is scaled by 4^2.
     f = P.poly([1, -2, 3])
-    lo, hi = P.interval_eval(f, F(1, 2), F(3, 4))
+    lo, hi = P.interval_eval([1, -2, 3], 2, 3, 4)
     for x in (F(1, 2), F(5, 8), F(3, 4)):
-        assert lo <= P.poly_eval(f, x) <= hi
+        assert F(lo, 16) <= P.poly_eval(f, x) <= F(hi, 16)
+
+
+DYADIC = st.builds(lambda n, k: F(n, 2**k), st.integers(-(10**30), 10**30),
+                   st.integers(0, 120))
 
 
 @given(st.lists(st.fractions(max_denominator=50), max_size=6),
-       st.fractions(max_denominator=10**30))
-def test_poly_sign_is_the_sign_of_poly_eval(coeffs, x):
-    v = P.poly_eval(P.poly(coeffs), x)
-    assert P.poly_sign(P.poly(coeffs), x) == (v > 0) - (v < 0)
+       st.one_of(st.fractions(max_denominator=10**30), DYADIC),
+       st.integers(1, 12))
+def test_poly_sign_is_the_sign_of_poly_eval(coeffs, x, k):
+    f = P.poly(coeffs)
+    v = P.poly_eval(f, x)
+    F_, D = P.integer_numerators(f)
+    assert F_ == [c * D for c in f]
+    # x as n/m in lowest terms and over a larger common denominator k*m
+    for n, m in ((x.numerator, x.denominator), (k * x.numerator, k * x.denominator)):
+        assert P.poly_sign(F_, n, m) == (v > 0) - (v < 0)
+
+
+def _fraction_refine(f, lo, hi, width):
+    """The Fraction bisection that `P.refine_interval` replaced, signed by
+    `poly_eval`: the oracle for the integer one."""
+    if lo == hi:
+        return lo, hi
+    flo = P.poly_eval(f, lo) > 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = P.poly_eval(f, mid)
+        if v == 0:
+            return mid, mid
+        if (v > 0) == flo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@st.composite
+def _isolated_roots(draw):
+    """(f, (lo, hi, m)): an isolating interval of a squarefree integer
+    polynomial, monic or not, sometimes times a linear factor with a
+    rational root."""
+    coeff = st.integers(-30, 30)
+    f = P.poly(draw(st.lists(coeff, min_size=2, max_size=7).filter(lambda c: c[-1])))
+    if draw(st.booleans()):
+        f = P.poly_mul(f, P.poly([draw(st.integers(-9, 9)), draw(st.integers(1, 8))]))
+    assume(P.is_squarefree(f))
+    roots = P.isolate_real_roots(f)
+    assume(roots)
+    return f, draw(st.sampled_from(roots))
+
+
+@given(_isolated_roots(),
+       st.one_of(st.integers(0, 300).map(lambda k: F(1, 2**k)),
+                 st.fractions(min_value=F(1, 10**40), max_value=1)))
+# (2x - 1)(x^2 - 3): the first midpoint of the interval (0, 1) is the root 1/2.
+@example((P.poly([3, -6, -1, 2]), (0, 1, 1)), F(1, 2**10))
+@settings(max_examples=150, deadline=None)
+def test_refine_interval_matches_fraction_bisection(root, width):
+    f, got = root
+    F_ = P.integer_numerators(f)[0]
+    want = (F(got[0], got[2]), F(got[1], got[2]))
+    for w in (width, width / 7):  # refine twice, as a cached interval is
+        got = P.refine_interval(F_, *got, w)
+        want = _fraction_refine(f, *want, w)
+        assert (F(got[0], got[2]), F(got[1], got[2])) == want
 
 
 def _int_mul(f, g):
@@ -412,6 +473,82 @@ def test_sign_consistent_with_approx(a):
         assert v == 0
     else:
         assert (v > 0) == (s > 0)
+
+
+# Q(sqrt 2), x^3 - 3x + 1, x^4 - 14x^2 + 9 and the degree-8 entry field.
+SIGN_FIELDS = [
+    NumberField(c) for c in ([-2, 0, 1], [1, -3, 0, 1], [9, 0, -14, 0, 1])
+] + [entry_field()]
+
+
+@lru_cache(maxsize=None)
+def _sympy_real_roots(coeffs):
+    import sympy
+
+    x = sympy.Symbol("x")
+    return tuple(sympy.Poly(list(reversed(coeffs)), x).real_roots(radicals=False))
+
+
+def _sympy_signs(a):
+    """The exact sign of a at every real root of its field, ascending.
+
+    sympy approximates each root r within 2^-k (`CRootOf.eval_rational`);
+    once |a(q)| at that approximation q exceeds 2^-k times the bound on
+    |a'| over [q - 1, q + 1], a(r) has the sign of a(q).  k doubles until
+    it does, which ends because a nonzero element has no root in common
+    with the irreducible defining polynomial.
+    """
+    import sympy
+
+    g = a.coords
+    roots = _sympy_real_roots(tuple(int(c) for c in a.field.poly))
+    if not any(g):
+        return [0] * len(roots)
+    signs = []
+    for r in roots:
+        k = 16
+        while True:
+            q = r.eval_rational(dx=sympy.Rational(1, 2**k))
+            q = F(int(q.p), int(q.q))
+            v = P.poly_eval(g, q)
+            slope = sum(abs(c) * i * (abs(q) + 1) ** (i - 1) for i, c in enumerate(g))
+            if abs(v) > slope / 2**k:
+                signs.append((v > 0) - (v < 0))
+                break
+            k *= 2
+    return signs
+
+
+@lru_cache(maxsize=None)
+def _near_roots(K, digits):
+    """A rational within 10^-digits of each real root of K, read off a fresh
+    copy of K whose intervals no other test has refined."""
+    fresh = NumberField(K.poly, embedding=0)
+    return [approx_at_embedding(fresh.gen, j, digits=digits) for j in range(K.degree)]
+
+
+@st.composite
+def _sign_elements(draw):
+    """Elements of the SIGN_FIELDS: random coordinates, or t - q - e for q a
+    rational within 10^-12 or 10^-90 of a real root and a small e, whose
+    sign needs many bisections."""
+    K = draw(st.sampled_from(SIGN_FIELDS))
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.fractions(-100, 100, max_denominator=10**6),
+                               min_size=K.degree, max_size=K.degree))
+        return K.element(coords)
+    near = draw(st.sampled_from(_near_roots(K, draw(st.sampled_from([12, 90])))))
+    return K.gen - near - draw(st.sampled_from([0, F(1, 10**13), -F(1, 10**95)]))
+
+
+@given(_sign_elements())
+@settings(max_examples=40, deadline=None)
+def test_sign_at_embedding_matches_sympy(a):
+    signs = [sign_at_embedding(a, j) for j in range(a.field.n_real_embeddings)]
+    assert signs == _sympy_signs(a)
+    fresh = NumberField(a.field.poly, embedding=0)  # unrefined intervals
+    assert [sign_at_embedding(fresh.element(a.coords), j)
+            for j in range(fresh.n_real_embeddings)] == signs
 
 
 @given(st.fractions(min_value=0, max_value=1000, max_denominator=50))

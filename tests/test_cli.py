@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from hyplat.cli import main
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 GPS_COMPLEX = """\
 field 1 0
@@ -170,6 +173,46 @@ class TestHybridCommands:
         assert code == 0
         assert "HypothesesMet" in out
         assert len(calls) == 3
+
+    def test_verify_diagonal_forms_take_no_det_and_no_pivot_inverse(self, capsys, monkeypatch):
+        # Every form here is diagonal: one elimination per space, and it
+        # clears nothing, so no pivot is inverted and no determinant is taken.
+        import hyplat.linalg
+        import hyplat.quadform
+        from hyplat.algebra.numberfield import FieldElement
+
+        counts = {"det": 0, "diagonalize": 0, "pivot inverse": 0}
+        inside = []
+        det, inverse = hyplat.linalg.Matrix.det, FieldElement.inverse
+        diagonalize = hyplat.linalg.symmetric_diagonalize
+
+        def counting_det(matrix):
+            counts["det"] += 1
+            return det(matrix)
+
+        def counting_diagonalize(G):
+            counts["diagonalize"] += 1
+            inside.append(G)
+            try:
+                return diagonalize(G)
+            finally:
+                inside.pop()
+
+        def counting_inverse(element):
+            counts["pivot inverse"] += bool(inside)
+            return inverse(element)
+
+        monkeypatch.setattr(hyplat.linalg.Matrix, "det", counting_det)
+        monkeypatch.setattr(FieldElement, "inverse", counting_inverse)
+        for module in (hyplat.linalg, hyplat.quadform):
+            monkeypatch.setattr(module, "symmetric_diagonalize", counting_diagonalize)
+        cycle = GOLDEN_INPUTS / "sqrt2_cycle_squares.cpx"  # 3 blocks over Q(sqrt 2)
+        code, out, _ = run(capsys, "hybrid", "verify", str(cycle))
+        assert code == 0
+        assert "HypothesesNotMet" in out
+        assert counts["det"] == 0
+        assert counts["pivot inverse"] == 0
+        assert counts["diagonalize"] >= 3
 
     def test_verify_bad_field_is_an_input_error(self, capsys, tmp_path):
         f = tmp_path / "reducible.cplx"

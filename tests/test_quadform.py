@@ -9,6 +9,7 @@ both.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from hyplat.errors import (
     NotAdmissible,
     NotSymmetric,
 )
-from hyplat.linalg import Matrix, Subspace
+from hyplat.linalg import Matrix, Subspace, symmetric_diagonalize
 from hyplat.quadform import (
     NOT_COMMENSURABLE,
     NOT_SIMILAR,
@@ -471,3 +472,57 @@ def test_isometric_reflexive_and_scaled_similar(entries):
     q = QuadraticSpace.diagonal(QQ, entries)
     assert isometric_over_Q(q, q)
     assert similar(q, q).status == SIMILAR
+
+
+# ---------------------------------------------------------------------------
+# one elimination per quadratic space
+# ---------------------------------------------------------------------------
+
+ELIMINATION_FIELDS = [QQ, NumberField([-2, 0, 1]), NumberField([1, -3, 0, 1])]
+COORDS = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """(K, G): a symmetric n x n matrix over K, n <= 5, with many zero
+    entries; some have a zero diagonal (the 2*g_ij pivot) and some a
+    repeated row and column (singular)."""
+    K = draw(st.sampled_from(ELIMINATION_FIELDS))
+    n = draw(st.integers(1, 5))
+    entry = st.lists(COORDS, min_size=K.degree, max_size=K.degree).map(K.element)
+    rows = [[K.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    if n > 1 and draw(st.booleans()):
+        i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[k] = list(rows[i])
+        for row in rows:
+            row[k] = row[i]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = K.zero
+    return K, Matrix(K, rows)
+
+
+@given(_symmetric_matrices(), st.lists(COORDS, min_size=3, max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_one_elimination_gives_det_degeneracy_and_scaling(KG, lam_coords):
+    K, G = KG
+    space = QuadraticSpace(K, G, allow_degenerate=True)
+    D = space.diagonal_entries()
+    det = G.det()
+    assert prod(D, start=K.one) == det  # det T = +-1
+    assert space.is_degenerate == (not det)
+    if not det:
+        with pytest.raises(DegenerateRestriction):
+            QuadraticSpace(K, G)
+    lam = K.element(lam_coords[: K.degree])
+    if not lam:
+        return
+    scaled = space.scale(lam)
+    D2, T2 = symmetric_diagonalize(G * lam)
+    assert scaled.gram == G * lam
+    assert scaled.diagonal_entries() == D2 == [lam * d for d in D]
+    assert scaled._diagonalization[1] == T2 == space._diagonalization[1]
+    assert scaled.is_degenerate == space.is_degenerate
