@@ -20,6 +20,7 @@ on input errors (one ``error:`` line), 3 on an internal error (one
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -361,7 +362,11 @@ def _cmd_links_compose(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it
+    unchanged).  Each subcommand records only its name; ``main`` looks up
+    its ``_cmd_*`` handler by that name on every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", metavar="PATH", help="write a canonical JSON report ('-' = stdout)"
@@ -391,13 +396,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "check", parents=[common], help="admissibility of forms"
     )
     fc.add_argument("form", nargs="+", help="form file or inline diag(a,b,...)")
-    fc.set_defaults(handler=_cmd_form_check, command_name="form check")
+    fc.set_defaults(command_name="form check")
     fk = form_sub.add_parser(
         "commensurable", parents=[common], help="commensurability of two lattices"
     )
     fk.add_argument("left")
     fk.add_argument("right")
-    fk.set_defaults(handler=_cmd_form_commensurable, command_name="form commensurable")
+    fk.set_defaults(command_name="form commensurable")
 
     hybrid = sub.add_parser("hybrid", help="block complexes")
     hybrid_sub = hybrid.add_subparsers(dest="subcommand", required=True)
@@ -405,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="validate a complex and test hypotheses"
     )
     hv.add_argument("complex", help="complex file")
-    hv.set_defaults(handler=_cmd_hybrid_verify, command_name="hybrid verify")
+    hv.set_defaults(command_name="hybrid verify")
     ha = hybrid_sub.add_parser(
         "angle", parents=[common], help="angle of a line against a subspace"
     )
@@ -414,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ha.add_argument(
         "--z", required=True, help="subspace span: vectors separated by ';'"
     )
-    ha.set_defaults(handler=_cmd_hybrid_angle, command_name="hybrid angle")
+    ha.set_defaults(command_name="hybrid angle")
 
     coxeter = sub.add_parser("coxeter", help="Coxeter diagrams")
     coxeter_sub = coxeter.add_subparsers(dest="subcommand", required=True)
@@ -424,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="classification, arithmeticity, splittability",
     )
     ca.add_argument("diagram", nargs="+", help="diagram file(s)")
-    ca.set_defaults(handler=_cmd_coxeter_analyze, command_name="coxeter analyze")
+    ca.set_defaults(command_name="coxeter analyze")
 
     links = sub.add_parser("links", help="belted sums of links")
     links_sub = links.add_subparsers(dest="subcommand", required=True)
@@ -433,15 +438,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lc.add_argument("script", help="composition script file or inline a+b+c")
     lc.add_argument("--table", help="alternative link table file")
-    lc.set_defaults(handler=_cmd_links_compose, command_name="links compose")
+    lc.set_defaults(command_name="links compose")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler = globals()["_cmd_" + args.command_name.replace(" ", "_")]
     try:
-        lines, payload, negative, inputs = args.handler(args)
+        lines, payload, negative, inputs = handler(args)
         for line in lines:
             print(line)
         if args.json:

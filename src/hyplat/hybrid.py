@@ -40,7 +40,7 @@ from hyplat.errors import (
     ParseError,
     XiInsideH,
 )
-from hyplat.linalg import Matrix, Subspace, complement_q, project_q, vec
+from hyplat.linalg import Matrix, Subspace, complement_q, projection_coefficients, vec
 from hyplat.quadform import (
     NOT_SIMILAR,
     SIMILAR,
@@ -477,26 +477,33 @@ def angle_with_hypersurface(
     maximizer z = P_Z e).  Z = 0 gives 0.  Requires q(e) != 0 and q
     nondegenerate on Z (DegenerateRestriction otherwise).
 
-    When q(e) > 0 and q restricted to Z is positive definite at the chosen
-    embedding the value is certified nonnegative.  It is cos^2 of the angle
-    between the geodesic hyperplanes normal to e and tangent to Z when they
-    meet (value <= 1); a value above 1 is cosh^2 of their divergence
-    distance and is returned as-is.
+    One diagonalization diag(D) of the restriction B G B^t to Z's basis B
+    decides degeneracy and gives the coefficients c of P_Z e = B^t c
+    (`projection_coefficients`); then q(P_Z e) = c^t (B G B^t) c = c.(B G e)
+    with no further evaluation of q.
+
+    When q(e) > 0 and every D entry is positive at the chosen embedding
+    (q positive definite on Z there) the value is certified nonnegative.
+    It is cos^2 of the angle between the geodesic hyperplanes normal to e
+    and tangent to Z when they meet (value <= 1); a value above 1 is
+    cosh^2 of their divergence distance and is returned as-is.
     """
     qe = space.evaluate(e)
     if not qe:
         raise DegenerateRestriction("q(e) = 0: the wall normal is isotropic")
     if Z.is_zero:
         return space.field.zero
-    p = project_q(space.gram, Z, e)
-    value = space.evaluate(p) / qe
-    restricted = space.restrict(Z)
-    if sign_at_embedding(qe) > 0 and not restricted.is_degenerate:
-        if restricted.signature() == (Z.dim, 0, 0) and sign_at_embedding(value) < 0:
-            raise CertificateError(
-                "angle value is negative although q(e) > 0 and q is positive "
-                "definite on Z"
-            )
+    D, c, r = projection_coefficients(space.gram, Z, e)
+    value = sum((ci * ri for ci, ri in zip(c, r)), space.field.zero) / qe
+    if (
+        sign_at_embedding(qe) > 0
+        and all(sign_at_embedding(d) > 0 for d in D)
+        and sign_at_embedding(value) < 0
+    ):
+        raise CertificateError(
+            "angle value is negative although q(e) > 0 and q is positive "
+            "definite on Z"
+        )
     return value
 
 

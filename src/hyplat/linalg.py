@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from hyplat.algebra.numberfield import FieldElement, NumberField, sign_at_embedding
 from hyplat.errors import (
-    CertificateError,
+    DegenerateRestriction,
     DimensionMismatch,
     FieldMismatch,
     NotSymmetric,
@@ -36,6 +36,7 @@ __all__ = [
     "signature_profile",
     "diagonal_signature_profile",
     "complement_q",
+    "projection_coefficients",
     "project_q",
 ]
 
@@ -499,30 +500,39 @@ def complement_q(G: Matrix, S: Subspace) -> Subspace:
     return Subspace(G.field, S.ambient_dim, BG.right_kernel())
 
 
-def project_q(G: Matrix, S: Subspace, v: Sequence) -> Vector:
-    """q-orthogonal projection of v onto S.
+def projection_coefficients(
+    G: Matrix, S: Subspace, v: Sequence
+) -> tuple[list, Vector, Vector]:
+    """(D, c, r) for the q-orthogonal projection B^t c of v onto S.
 
-    Solves (B G B^t) c = B G v for the coefficients over S's basis; raises
-    DegenerateRestriction when the restricted Gram matrix is singular.
+    B is S's basis matrix and r = B G v.  One congruence diagonalization
+    T^t (B G B^t) T = diag(D) decides degeneracy, since det(B G B^t) =
+    prod(D) (DegenerateRestriction when some entry is 0), and solves
+    (B G B^t) c = r as c = T diag(D)^-1 T^t r: one inverse per entry of D
+    and no further elimination.  S = 0 gives empty D and c.
     """
-    from hyplat.errors import DegenerateRestriction
-
     if not G.is_symmetric:
         raise NotSymmetric("Gram matrix must be symmetric")
     w = vec(G.field, v)
     if len(w) != S.ambient_dim or G.nrows != S.ambient_dim:
         raise DimensionMismatch("Gram/subspace/vector dimension mismatch")
     if S.is_zero:
-        return tuple([G.field.zero] * S.ambient_dim)
+        return [], (), ()
     B = S.basis_matrix()
-    gram_S = B @ G @ B.transpose()
-    rhs = (B @ G).apply(w)
-    if not gram_S.det():
+    BG = B @ G
+    r = BG.apply(w)
+    D, T = symmetric_diagonalize(BG @ B.transpose())
+    if not all(D):
         raise DegenerateRestriction("form restricted to the subspace is degenerate")
-    coeffs = gram_S.solve(rhs)
-    if coeffs is None:
-        raise CertificateError("a nonsingular restricted Gram system had no solution")
+    y = [x / d for x, d in zip(T.transpose().apply(r), D)]
+    return D, T.apply(y), r
+
+
+def project_q(G: Matrix, S: Subspace, v: Sequence) -> Vector:
+    """q-orthogonal projection of v onto S (see `projection_coefficients`);
+    raises DegenerateRestriction when q restricted to S is degenerate."""
+    _, coeffs, _ = projection_coefficients(G, S, v)
     out = [G.field.zero] * S.ambient_dim
-    for c, b in zip(coeffs, B.rows):
+    for c, b in zip(coeffs, S.basis):
         out = [o + c * e for o, e in zip(out, b)]
     return tuple(out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from hyplat.algebra.arith import (
     factorize,
@@ -539,15 +539,21 @@ def _similar_over_K(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict
                 "changes the discriminant class",
             )
     # Sufficient branch: try scalar candidates built from diagonal entry
-    # ratios (plus 1), certifying via entrywise square matching.
+    # ratios (plus 1), certifying via entrywise square matching.  They are
+    # made one at a time, with one inverse per a, and the first verified
+    # one is the witness.
     diag1 = q1.diagonal_entries()
     diag2 = q2.diagonal_entries()
-    candidates: list[FieldElement] = [K.one]
-    for a in diag1:
-        for b in diag2:
-            candidates.append(b / a)
+
+    def candidates() -> Iterator[FieldElement]:
+        yield K.one
+        for a in diag1:
+            inv = a.inverse()
+            for b in diag2:
+                yield b * inv
+
     seen: list[FieldElement] = []
-    for lam in candidates:
+    for lam in candidates():
         if not lam or any(lam == s for s in seen):
             continue
         seen.append(lam)

@@ -131,7 +131,10 @@ def parse_entry(token: str, field: NumberField, lineno: int | None) -> FieldElem
                     f"entry {token!r} uses the generator t but the field is Q", lineno
                 )
             power += int(match.group(1) or 1)
-        acc = acc + field.gen**power * field.from_fraction(coeff)
+        if power < field.degree:  # coeff * t^power is a coordinate vector
+            acc = acc + field.element([0] * power + [coeff])
+        else:
+            acc = acc + field.gen**power * field.from_fraction(coeff)
     return acc
 
 

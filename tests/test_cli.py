@@ -214,6 +214,39 @@ class TestHybridCommands:
         assert counts["pivot inverse"] == 0
         assert counts["diagonalize"] >= 3
 
+    @pytest.mark.parametrize("name, verdict, gluings", [
+        ("sqrt2_cycle_squares", "HypothesesNotMet", 3),  # lambda = 1 is verified first
+        ("sqrt2_odd_dimension", "HypothesesUnknown", 1),  # every candidate is tried
+    ])
+    def test_verify_takes_at_most_dim_inverses_per_similarity(
+        self, capsys, monkeypatch, name, verdict, gluings
+    ):
+        # Scalar candidates b/a are made lazily from one inverse per a.
+        import hyplat.hybrid
+        from hyplat.algebra.numberfield import FieldElement
+
+        inverses = [0]
+        per_call = []
+        inverse, similar = FieldElement.inverse, hyplat.hybrid.similar
+
+        def counting_inverse(element):
+            inverses[0] += 1
+            return inverse(element)
+
+        def counting_similar(q1, q2):
+            inverses[0] = 0
+            verdict = similar(q1, q2)
+            per_call.append((inverses[0], q1.dim))
+            return verdict
+
+        monkeypatch.setattr(FieldElement, "inverse", counting_inverse)
+        monkeypatch.setattr(hyplat.hybrid, "similar", counting_similar)
+        code, out, _ = run(capsys, "hybrid", "verify", str(GOLDEN_INPUTS / f"{name}.cpx"))
+        assert code == 0
+        assert verdict in out
+        assert len(per_call) == gluings
+        assert all(count <= dim for count, dim in per_call)
+
     def test_verify_bad_field_is_an_input_error(self, capsys, tmp_path):
         f = tmp_path / "reducible.cplx"
         f.write_text(GPS_COMPLEX.replace("field 1 0", "field 1 0 -4"))
@@ -260,6 +293,39 @@ class TestHybridCommands:
         assert code == 0
         assert "1/2" in out
         assert "approx: 0.5" in out
+
+    def test_angle_takes_one_elimination_of_the_restriction(self, capsys, monkeypatch):
+        # The restricted Gram matrix is diagonalized once; that gives its
+        # degeneracy, the projection and the positivity certificate.
+        import hyplat.linalg
+        import hyplat.quadform
+
+        counts = {"det": 0, "solve": 0}
+        sizes = []
+        det, solve = hyplat.linalg.Matrix.det, hyplat.linalg.Matrix.solve
+        diagonalize = hyplat.linalg.symmetric_diagonalize
+
+        def counting(name, method):
+            def wrapper(*args):
+                counts[name] += 1
+                return method(*args)
+            return wrapper
+
+        def counting_diagonalize(G):
+            sizes.append(G.nrows)
+            return diagonalize(G)
+
+        monkeypatch.setattr(hyplat.linalg.Matrix, "det", counting("det", det))
+        monkeypatch.setattr(hyplat.linalg.Matrix, "solve", counting("solve", solve))
+        for module in (hyplat.linalg, hyplat.quadform):
+            monkeypatch.setattr(module, "symmetric_diagonalize", counting_diagonalize)
+        form = GOLDEN_INPUTS / "cubic_a.form"  # diag(1, 1, 1, t) over x^3 - 3x + 1
+        code, out, _ = run(capsys, "hybrid", "angle", str(form),
+                           "--e", "t,1,0,1", "--z", "1,0,0,0;0,1,0,0;0,0,1,0")
+        assert code == 0
+        assert out.startswith("angle value (cos^2): ")
+        assert counts == {"det": 0, "solve": 0}
+        assert sizes == [4, 3]  # the form at parse time, then its restriction to Z
 
     def test_angle_dimension_mismatch(self, capsys):
         code, _, err = run(
@@ -466,6 +532,28 @@ class TestReports:
         code, out, err = run(capsys, "form", "check", "diag(1,-1)")
         assert (code, out) == (3, "")
         assert err == "internal error: RuntimeError: handler bug\n"
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        import argparse
+
+        import hyplat.cli
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            if kwargs.get("prog") == "hyplat":
+                built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        hyplat.cli._build_parser.cache_clear()
+        try:
+            assert run(capsys, "form", "check", "diag(1,-1)")[0] == 0
+            assert run(capsys, "form", "check", "diag(1,1,-1)")[0] == 0
+        finally:
+            hyplat.cli._build_parser.cache_clear()
+        assert len(built) == 1
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -311,6 +311,13 @@ class TestAngle:
         Z = Subspace(QQ, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
         assert angle_with_hypersurface(space, [1, 0, 0, 0], Z) == 1
 
+    def test_negative_value_when_z_is_indefinite(self):
+        # q is indefinite on Z, so the nonnegativity certificate does not
+        # apply: P_Z e = (0, 0, 0, 1) is timelike and the value is returned.
+        space = _lorentz4()
+        Z = Subspace(QQ, 4, [[1, 0, 0, 0], [0, 0, 0, 1]])
+        assert angle_with_hypersurface(space, [0, 2, 0, 1], Z) == Fraction(-1, 3)
+
     def test_zero_dimensional_z(self):
         space = _lorentz4()
         assert angle_with_hypersurface(space, [1, 0, 0, 0], Subspace.zero(QQ, 4)) == 0

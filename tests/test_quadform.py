@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyplat.algebra.numberfield import QQ, NumberField
+from hyplat.algebra.numberfield import QQ, NumberField, is_square, sign_at_embedding
 from hyplat.errors import (
     DegenerateRestriction,
     FieldMismatch,
@@ -29,6 +29,8 @@ from hyplat.quadform import (
     SIMILAR,
     UNKNOWN,
     QuadraticSpace,
+    _match_diagonals_by_squares,
+    _similar_over_K,
     commensurable,
     direct_sum,
     disc_class,
@@ -526,3 +528,98 @@ def test_one_elimination_gives_det_degeneracy_and_scaling(KG, lam_coords):
     assert scaled.diagonal_entries() == D2 == [lam * d for d in D]
     assert scaled._diagonalization[1] == T2 == space._diagonalization[1]
     assert scaled.is_degenerate == space.is_degenerate
+
+
+# ---------------------------------------------------------------------------
+# Lazy similarity candidates against the eager m^2-candidate search
+# ---------------------------------------------------------------------------
+
+
+def _eager_similar_over_K(q1, q2):
+    """The search that built all m^2 candidates b/a before testing any."""
+    K = q1.field
+    flips = []
+    for j in range(K.n_real_embeddings):
+        s1, s2 = q1.signature(j), q2.signature(j)
+        allowed = set()
+        if s1 == s2:
+            allowed.add(1)
+        if (s1[1], s1[0], s1[2]) == s2:
+            allowed.add(-1)
+        if not allowed:
+            return NOT_SIMILAR, None, (
+                f"signatures at embedding {j} are {s1} vs {s2}: no scalar sign works")
+        flips.append(allowed)
+    if q1.dim % 2 == 0:
+        dets = prod(q1.diagonal_entries() + q2.diagonal_entries(), start=K.one)
+        if is_square(dets) is None:
+            return NOT_SIMILAR, None, (
+                "discriminant classes differ (even dimension), no scalar "
+                "changes the discriminant class")
+    diag1, diag2 = q1.diagonal_entries(), q2.diagonal_entries()
+    candidates = [K.one] + [b / a for a in diag1 for b in diag2]
+    seen = []
+    for lam in candidates:
+        if not lam or any(lam == s for s in seen):
+            continue
+        seen.append(lam)
+        if all((1 if sign_at_embedding(lam, j) > 0 else -1) in flips[j]
+               for j in range(K.n_real_embeddings)):
+            if _match_diagonals_by_squares([lam * d for d in diag1], diag2):
+                return SIMILAR, lam, (
+                    "scalar verified by entrywise square-class matching of "
+                    "diagonalizations")
+    return UNKNOWN, None, (
+        "no invariant obstruction found and no verified scalar witness; "
+        "the layered test over a general field is incomplete")
+
+
+# Q(sqrt 2), the cyclic cubic x^3 - 3x + 1 and Q(sqrt 2, sqrt 5); 3 is a
+# nonsquare in each.
+SIMILARITY_FIELDS = [
+    NumberField([-2, 0, 1]), NumberField([1, -3, 0, 1]), NumberField([9, 0, -14, 0, 1])
+]
+SMALL = st.sampled_from([0, 1, -1, 2, -2, Fraction(1, 2), 3])
+
+
+@st.composite
+def _diagonal_pairs(draw):
+    """(kind, q1, q2): q2 is lambda*q1 with entries permuted and scaled by
+    squares, the same with one entry twisted by the nonsquare 3, or an
+    unrelated diagonal form."""
+    K = draw(st.sampled_from(SIMILARITY_FIELDS))
+    m = draw(st.integers(1, 4))
+    element = st.lists(SMALL, min_size=K.degree, max_size=K.degree).map(K.element)
+    nonzero = element.filter(bool)
+    a = draw(st.lists(nonzero, min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["scaled", "twisted", "unrelated"]))
+    if kind == "unrelated":
+        b = draw(st.lists(nonzero, min_size=m, max_size=m))
+    else:
+        lam = draw(nonzero)
+        b = [lam * x * s * s for x, s in zip(a, draw(st.lists(nonzero, min_size=m, max_size=m)))]
+        if kind == "twisted":
+            b[0] = 3 * b[0]
+        b = draw(st.permutations(b))
+    return kind, QuadraticSpace.diagonal(K, a), QuadraticSpace.diagonal(K, b)
+
+
+@given(_diagonal_pairs())
+@settings(max_examples=120, deadline=None)
+def test_lazy_similarity_candidates_match_eager_search(case):
+    kind, q1, q2 = case
+    got = _similar_over_K(q1, q2)
+    assert (got.status, got.lambda_witness, got.reason) == _eager_similar_over_K(q1, q2)
+    if kind == "scaled":
+        assert got.status == SIMILAR
+    if kind == "twisted" and q1.dim % 2 == 0:
+        assert got.status == NOT_SIMILAR
+
+
+def test_odd_twisted_pair_ends_unknown_like_the_eager_search():
+    K = SIMILARITY_FIELDS[1]
+    q1 = QuadraticSpace.diagonal(K, [1, 1, K.gen])
+    q2 = QuadraticSpace.diagonal(K, [1, 3, K.gen])
+    got = _similar_over_K(q1, q2)
+    assert got.status == UNKNOWN
+    assert (got.status, got.lambda_witness, got.reason) == _eager_similar_over_K(q1, q2)

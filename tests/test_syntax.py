@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -90,6 +91,37 @@ def test_entry_grammar_rejects(token):
 def test_generator_is_an_error_over_q():
     with pytest.raises(ParseError, match="field is Q"):
         parse_entry("1+t", QQ, 1)
+
+
+# A quadratic, a cubic and a quartic field.
+POWER_FIELDS = [SQRT2, NumberField([1, -3, 0, 1]), NumberField([9, 0, -14, 0, 1])]
+
+
+@st.composite
+def _power_sums(draw):
+    """(field, token, [(c, k)]): a sum of terms c*t^k with 0 <= k <= 2*degree,
+    each spelt one of several ways."""
+    K = draw(st.sampled_from(POWER_FIELDS))
+    coeff = st.sampled_from([Fraction(1), Fraction(3), Fraction(1, 2), Fraction(5, 3)])
+    terms = draw(st.lists(st.tuples(st.booleans(), coeff, st.integers(0, 2 * K.degree)),
+                          min_size=1, max_size=5))
+    token = ""
+    for i, (negative, c, k) in enumerate(terms):
+        power = "t" if k == 1 else f"t^{k}"
+        spellings = [f"{c}*{power}", f"{power}*{c}"] if k else [str(c), f"{c}*t^0"]
+        if c == 1 and k:
+            spellings.append(power)
+        sign = "-" if negative else draw(st.sampled_from(["+", ""])) if i == 0 else "+"
+        token += sign + draw(st.sampled_from(spellings))
+    return K, token, [(-c if negative else c, k) for negative, c, k in terms]
+
+
+@given(_power_sums())
+@settings(max_examples=150, deadline=None)
+def test_powers_of_t_parse_to_sums_of_generator_powers(case):
+    K, token, terms = case
+    expected = sum((K.from_fraction(c) * K.gen**k for c, k in terms), K.zero)
+    assert parse_entry(token, K, 1) == expected
 
 
 # Where the token sits in each input, so that the block stays admissible:
@@ -229,7 +261,7 @@ def _run(argv):
 
 
 def _no_options(texts):
-    return texts.map(lambda text: (text, []))
+    return texts.map(lambda text: ((text,), []))
 
 
 def _vectors(size):
@@ -259,10 +291,28 @@ ANGLE = st.one_of(
     st.tuples(_texts(parse_form), st.integers(1, 4).flatmap(_vectors)),
     st.tuples(st.tuples(FIELD, _entries(3, 3)).map(lambda t: f"{t[0]}\ndiag {t[1]}"),
               _vectors(3)),
-).map(lambda t: (t[0], ["--e=" + t[1][0], "--z=" + t[1][1]]))
-# (input file text, options after it)
+).map(lambda t: ((t[0],), ["--e=" + t[1][0], "--z=" + t[1][1]]))
+
+
+@st.composite
+def _form_pairs(draw):
+    """Two diagonal forms over one field, negative at its chosen place only
+    when the other entries are totally positive; the second is often a
+    permutation of the first."""
+    field, negative = draw(st.sampled_from(
+        [("field 1 0", "-1"), ("field 1 0 -2", "t"), ("field 1 0 -5", "t"),
+         ("field 1 -1 -1", "t"), ("field 1 0 -3 1", "t")]))
+    left = draw(st.lists(POSITIVE, min_size=1, max_size=3))
+    right = draw(st.one_of(st.permutations(left), st.lists(POSITIVE, min_size=1, max_size=3)))
+    return tuple(f"{field}\ndiag {' '.join(entries)} {negative}" for entries in (left, right))
+
+
+# (input file texts, options after them)
 CLI_INPUTS = {
     "form check": _no_options(_texts(parse_form)),
+    "form commensurable": st.one_of(
+        _form_pairs(), st.tuples(_texts(parse_form), _texts(parse_form))
+    ).map(lambda texts: (texts, [])),
     "coxeter analyze": _no_options(_texts(parse_diagram)),
     "links compose": _no_options(_texts(parse_composition_script)),
     "hybrid verify": _no_options(st.one_of(_texts(parse_complex), COMPLEX)),
@@ -272,15 +322,17 @@ CLI_INPUTS = {
 
 @pytest.mark.parametrize("command", sorted(CLI_INPUTS))
 def test_fuzz_cli(command, tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    directory = tmp_path_factory.mktemp("fuzz")
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=CLI_INPUTS[command])
     def check(case):
-        text, options = case
-        path.write_text(text, encoding="utf-8")
-        argv = [*command.split(), str(path), *options, "--json", "-"]
+        texts, options = case
+        paths = [directory / f"input{i}.txt" for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="utf-8")
+        argv = [*command.split(), *map(str, paths), *options, "--json", "-"]
         first = _run(argv)
         code, _, err = first
         assert code in (0, 1, 2)
