@@ -27,6 +27,7 @@ instance.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -37,8 +38,10 @@ __all__ = [
     "NumberField",
     "FieldElement",
     "QQ",
+    "shared_field",
     "sign_at_embedding",
     "approx_at_embedding",
+    "float_at_embedding",
     "is_algebraic_integer",
     "is_square",
     "rational_square_root",
@@ -190,6 +193,13 @@ class NumberField:
             )
             self._trace_inv = [row[d:] for row in red]
         return self._trace_inv
+
+
+@lru_cache(maxsize=64)
+def shared_field(coefficients: tuple[int, ...], embedding: int | None = None) -> NumberField:
+    """``NumberField(coefficients, embedding)`` built once per process, with its
+    irreducibility proof, refined roots and trace inverse; errors are not cached."""
+    return NumberField(coefficients, embedding)
 
 
 class FieldElement:
@@ -374,6 +384,19 @@ def approx_at_embedding(
         if (H - L) * 10**digits <= 2 * scale:
             return Fraction(L + H, 2 * scale)
         lo, hi, m = K._refine(j)
+
+
+def float_at_embedding(a: FieldElement, j: int | None = None) -> float:
+    """The embedded value correctly rounded to a double, however refined the root:
+    an irrational value is no rounding boundary, so a narrow enclosure's ends agree."""
+    if a.is_rational:
+        return float(a.coords[0])
+    digits = 17
+    while True:
+        x, e = approx_at_embedding(a, j, digits), Fraction(1, 10**digits)
+        if float(x - e) == float(x + e):
+            return float(x)
+        digits *= 2
 
 
 # ---------------------------------------------------------------------------

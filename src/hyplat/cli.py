@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .algebra.numberfield import FieldElement, approx_at_embedding
+from .algebra.numberfield import FieldElement, float_at_embedding
 from .coxeter import (
     HYPERBOLIC,
     classify,
@@ -106,7 +106,7 @@ def _render(value) -> str:
 
 def _approx(value) -> float:
     if isinstance(value, FieldElement):
-        return float(approx_at_embedding(value))
+        return float_at_embedding(value)
     return float(value)
 
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
 
-from .algebra.arith import is_squarefree
-from .algebra.multiquadratic import multiquadratic_field
+from .algebra.arith import is_squarefree, square_class_basis
 from .errors import CertificateError, NoBeltAvailable, ParseError
 from .resources import bundled_path
 from .syntax import directive_lines, parse_int, read_text
@@ -135,10 +134,9 @@ def belted_sum(m1: BeltedManifold, m2: BeltedManifold) -> BeltedManifold:
     for m, side in ((m1, "left"), (m2, "right")):
         if m.remaining_belts < 1:
             raise NoBeltAvailable(f"{side} summand has no belt left")
-    gens = multiquadratic_field(m1.generators + m2.generators).generators
     return BeltedManifold(
         composition=("sum", m1.composition, m2.composition),
-        generators=tuple(gens),
+        generators=square_class_basis(m1.generators + m2.generators),
         opaque_degrees=tuple(sorted(m1.opaque_degrees + m2.opaque_degrees)),
         remaining_belts=m1.remaining_belts + m2.remaining_belts - 2,
     )

@@ -492,7 +492,7 @@ def _is_local_square(c: int, p: int) -> bool:
 def _match_diagonals_by_squares(
     d1: list[FieldElement], d2: list[FieldElement]
 ) -> bool:
-    """Backtracking perfect matching with edges 'ratio is a square'."""
+    """Backtracking perfect matching with edges 'ratio is a square', equal entries one."""
     m = len(d1)
     used = [False] * m
 
@@ -500,7 +500,7 @@ def _match_diagonals_by_squares(
         if i == m:
             return True
         for j in range(m):
-            if not used[j] and is_square(d1[i] * d2[j]) is not None:
+            if not used[j] and (d1[i] == d2[j] or is_square(d1[i] * d2[j]) is not None):
                 used[j] = True
                 if extend(i + 1):
                     return True
@@ -529,9 +529,17 @@ def _similar_over_K(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict
                 f"signatures at embedding {j} are {s1} vs {s2}: no scalar sign works",
             )
         flips.append(allowed)
+    diag1, diag2 = q1.diagonal_entries(), q2.diagonal_entries()
     if m % 2 == 0:
         # det G = prod(D) for each space (see QuadraticSpace): no elimination.
-        dets = prod(q1.diagonal_entries() + q2.diagonal_entries(), start=K.one)
+        # Equal entries pair off first: a pair x, x is the nonzero square x^2.
+        odd: list[FieldElement] = []
+        for x in diag1 + diag2:
+            if x in odd:
+                odd.remove(x)
+            else:
+                odd.append(x)
+        dets = prod(odd[1:], start=odd[0]) if odd else K.one
         if is_square(dets) is None:
             return SimilarityVerdict(
                 NOT_SIMILAR, None,
@@ -542,8 +550,6 @@ def _similar_over_K(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict
     # ratios (plus 1), certifying via entrywise square matching.  They are
     # made one at a time, with one inverse per a, and the first verified
     # one is the witness.
-    diag1 = q1.diagonal_entries()
-    diag2 = q2.diagonal_entries()
 
     def candidates() -> Iterator[FieldElement]:
         yield K.one
@@ -561,7 +567,8 @@ def _similar_over_K(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict
             (1 if sign_at_embedding(lam, j) > 0 else -1) in flips[j]
             for j in range(K.n_real_embeddings)
         ):
-            if _match_diagonals_by_squares([lam * d for d in diag1], diag2):
+            scaled = diag1 if lam == 1 else [lam * d for d in diag1]
+            if _match_diagonals_by_squares(scaled, diag2):
                 return SimilarityVerdict(
                     SIMILAR, lam,
                     "scalar verified by entrywise square-class matching of "

@@ -34,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from hyplat.algebra.numberfield import QQ, FieldElement, NumberField
+from hyplat.algebra.numberfield import QQ, FieldElement, NumberField, shared_field
 from hyplat.errors import ParseError
 
 __all__ = ["directive_lines", "parse_entry", "parse_int", "FieldHeader", "read_text"]
@@ -179,15 +179,13 @@ class FieldHeader:
             self.embedding = parse_int(parts[1], "embedding index", lineno)
 
     def field(self) -> NumberField:
-        """The declared field, the rationals without a ``field`` line."""
+        """The declared field (one per field/embedding pair and process), else Q."""
         if self._field is None:
             if self.coeffs is None:
                 self._field = QQ
             else:
                 try:
-                    self._field = NumberField(
-                        list(reversed(self.coeffs)), embedding=self.embedding
-                    )
+                    self._field = shared_field(tuple(reversed(self.coeffs)), self.embedding)
                 except ValueError as exc:
                     raise ParseError(str(exc), self.lineno) from None
         return self._field

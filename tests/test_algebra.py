@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,6 +16,7 @@ from hyplat.algebra.numberfield import (
     QQ,
     NumberField,
     approx_at_embedding,
+    float_at_embedding,
     is_algebraic_integer,
     is_square,
     multiplication_matrix,
@@ -549,6 +551,21 @@ def test_sign_at_embedding_matches_sympy(a):
     fresh = NumberField(a.field.poly, embedding=0)  # unrefined intervals
     assert [sign_at_embedding(fresh.element(a.coords), j)
             for j in range(fresh.n_real_embeddings)] == signs
+
+
+@given(_sign_elements())
+@settings(max_examples=40, deadline=None)
+def test_float_at_embedding_rounds_correctly_fresh_or_refined(a):
+    fresh = NumberField(a.field.poly, embedding=0)  # unrefined intervals
+    b = fresh.element(a.coords)
+    floats = [float_at_embedding(b, j) for j in range(fresh.n_real_embeddings)]
+    for j, x in enumerate(floats):
+        fresh._refine(j, F(1, 2**200))
+        assert float_at_embedding(b, j) == x
+        # The value lies between the midpoints from x to its neighbours.
+        below = (F(x) + F(math.nextafter(x, -math.inf))) / 2
+        above = (F(x) + F(math.nextafter(x, math.inf))) / 2
+        assert sign_at_embedding(b - below, j) >= 0 >= sign_at_embedding(b - above, j)
 
 
 @given(st.fractions(min_value=0, max_value=1000, max_denominator=50))

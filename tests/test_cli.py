@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def built_fields(monkeypatch):
+    """Every NumberField constructed during a test, from an empty field cache;
+    a construction that raises is counted too."""
+    from hyplat.algebra.numberfield import NumberField, shared_field
+
+    shared_field.cache_clear()
+    built = []
+    init = NumberField.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NumberField, "__init__", counting_init)
+    yield built
+    shared_field.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +140,21 @@ class TestFormCommands:
         )
         assert code == 1
         assert "NotCommensurable" in out
+
+    def test_commensurable_files_share_their_field(self, capsys, built_fields):
+        a, b = (str(GOLDEN_INPUTS / f"sqrt2_{x}.form") for x in "ab")
+        code, out, _ = run(capsys, "form", "commensurable", a, b)
+        assert code == 0
+        assert "Commensurable" in out
+        assert len(built_fields) == 1
+
+    def test_another_embedding_line_builds_another_field(self, capsys, built_fields):
+        a, b = (str(GOLDEN_INPUTS / f"sqrt2_shifted{x}.form") for x in ("", "_e1"))
+        code, _, _ = run(capsys, "form", "commensurable", a, b)
+        assert code == 0
+        first, second = built_fields
+        assert first is not second
+        assert (first.chosen_embedding, second.chosen_embedding) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +282,53 @@ class TestHybridCommands:
         assert len(per_call) == gluings
         assert all(count <= dim for count, dim in per_call)
 
-    def test_verify_bad_field_is_an_input_error(self, capsys, tmp_path):
+    def test_verify_takes_at_most_two_square_tests_per_similarity(self, capsys, monkeypatch):
+        # The blocks' diagonalizations <alpha1, 1, 1, -1+t> and <alpha2, 1, 1,
+        # -1+t> share three entries, which pair off before the discriminant
+        # test and match without one: only alpha1 * alpha2 is ever tested.
+        import hyplat.hybrid
+        import hyplat.quadform
+
+        tested = []
+        per_call = []
+        is_square, similar = hyplat.quadform.is_square, hyplat.hybrid.similar
+
+        def counting_is_square(a):
+            tested.append(a)
+            return is_square(a)
+
+        def counting_similar(q1, q2):
+            tested.clear()
+            verdict = similar(q1, q2)
+            alphas = q1.diagonal_entries()[0] * q2.diagonal_entries()[0]
+            per_call.append((len(tested), all(a == alphas for a in tested)))
+            return verdict
+
+        monkeypatch.setattr(hyplat.quadform, "is_square", counting_is_square)
+        monkeypatch.setattr(hyplat.hybrid, "similar", counting_similar)
+        code, out, _ = run(
+            capsys, "hybrid", "verify", str(GOLDEN_INPUTS / "sqrt2_cycle_squares.cpx")
+        )
+        assert code == 0
+        assert "HypothesesNotMet" in out
+        assert per_call == [(2, True)] * 3
+
+    def test_verify_builds_a_field_once_per_process(self, capsys, built_fields):
+        path = str(GOLDEN_INPUTS / "sqrt2_cycle_squares.cpx")
+        for _ in range(2):
+            code, _, _ = run(capsys, "hybrid", "verify", path)
+            assert code == 0
+        assert len(built_fields) == 1
+
+    def test_verify_bad_field_is_an_input_error(self, capsys, tmp_path, built_fields):
         f = tmp_path / "reducible.cplx"
         f.write_text(GPS_COMPLEX.replace("field 1 0", "field 1 0 -4"))
-        code, out, err = run(capsys, "hybrid", "verify", str(f))
-        assert code == 2
-        assert out == ""
-        assert err == "error: line 1: defining polynomial has rational root -2\n"
+        for _ in range(2):  # a failed construction is not cached
+            code, out, err = run(capsys, "hybrid", "verify", str(f))
+            assert code == 2
+            assert out == ""
+            assert err == "error: line 1: defining polynomial has rational root -2\n"
+        assert len(built_fields) == 2
 
     def test_verify_structural_error(self, capsys, tmp_path):
         f = tmp_path / "broken.cplx"
@@ -275,6 +350,22 @@ class TestHybridCommands:
         )
         assert code == 0
         assert "1/2" in out
+
+    def test_angle_approx_does_not_depend_on_refinement(self, capsys, built_fields):
+        # The exact value -0.6059572114446765279... renders as its nearest
+        # double, also once the shared field's roots are refined to 2^-200.
+        argv = ["hybrid", "angle", str(GOLDEN_INPUTS / "quartic_a.form"),
+                "--e", "1,0,0,1", "--z", "1,0,0,0;0,1,0,0", "--approx"]
+        outs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+            (K,) = built_fields
+            for j in range(K.degree):
+                K._refine(j, Fraction(1, 2**200))
+        assert outs[0] == outs[1]
+        assert "approx: -0.605957211444677\n" in outs[0]
 
     def test_angle_over_number_field(self, capsys, tmp_path):
         f = tmp_path / "lorentz.form"

@@ -9,6 +9,7 @@ both.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import prod
 
 import pytest
@@ -29,7 +30,6 @@ from hyplat.quadform import (
     SIMILAR,
     UNKNOWN,
     QuadraticSpace,
-    _match_diagonals_by_squares,
     _similar_over_K,
     commensurable,
     direct_sum,
@@ -535,8 +535,17 @@ def test_one_elimination_gives_det_degeneracy_and_scaling(KG, lam_coords):
 # ---------------------------------------------------------------------------
 
 
+def _matched_by_squares(d1, d2):
+    """Some permutation of d2 makes every product d1[i] * d2[i] a square:
+    every pair is tested, equal entries included."""
+    edges = [[is_square(x * y) is not None for y in d2] for x in d1]
+    return any(all(edges[i][j] for i, j in enumerate(perm))
+               for perm in permutations(range(len(d2))))
+
+
 def _eager_similar_over_K(q1, q2):
-    """The search that built all m^2 candidates b/a before testing any."""
+    """The search that built all m^2 candidates b/a before testing any, with
+    the discriminant test on the whole product and matchings by brute force."""
     K = q1.field
     flips = []
     for j in range(K.n_real_embeddings):
@@ -565,7 +574,7 @@ def _eager_similar_over_K(q1, q2):
         seen.append(lam)
         if all((1 if sign_at_embedding(lam, j) > 0 else -1) in flips[j]
                for j in range(K.n_real_embeddings)):
-            if _match_diagonals_by_squares([lam * d for d in diag1], diag2):
+            if _matched_by_squares([lam * d for d in diag1], diag2):
                 return SIMILAR, lam, (
                     "scalar verified by entrywise square-class matching of "
                     "diagonalizations")
@@ -622,4 +631,41 @@ def test_odd_twisted_pair_ends_unknown_like_the_eager_search():
     q2 = QuadraticSpace.diagonal(K, [1, 3, K.gen])
     got = _similar_over_K(q1, q2)
     assert got.status == UNKNOWN
+    assert (got.status, got.lambda_witness, got.reason) == _eager_similar_over_K(q1, q2)
+
+
+@st.composite
+def _pairs_sharing_entries(draw):
+    """Diagonal pairs with shared entries: <alpha1> + Q against <alpha2> + Q,
+    alpha2 a square multiple of alpha1, its twist by 3 or unrelated; or two
+    multisets drawn from three entries, like [a, a, b] against [a, c, c]."""
+    K = draw(st.sampled_from(SIMILARITY_FIELDS))
+    nonzero = st.lists(SMALL, min_size=K.degree, max_size=K.degree).map(K.element).filter(bool)
+    if draw(st.booleans()):
+        Q = QuadraticSpace.diagonal(K, draw(st.lists(nonzero, min_size=1, max_size=3)))
+        alpha1, s = draw(nonzero), draw(nonzero)
+        alpha2 = draw(st.sampled_from([alpha1 * s * s, 3 * alpha1 * s * s, s]))
+        return tuple(direct_sum(QuadraticSpace.diagonal(K, [alpha]), Q)
+                     for alpha in (alpha1, alpha2))
+    pool = draw(st.lists(nonzero, min_size=3, max_size=3))
+    m = draw(st.integers(2, 4))
+    d1, d2 = (draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m)) for _ in "12")
+    return QuadraticSpace.diagonal(K, d1), QuadraticSpace.diagonal(K, d2)
+
+
+@given(_pairs_sharing_entries())
+@settings(max_examples=120, deadline=None)
+def test_shared_entries_cancel_like_the_eager_search(pair):
+    q1, q2 = pair
+    got = _similar_over_K(q1, q2)
+    assert (got.status, got.lambda_witness, got.reason) == _eager_similar_over_K(q1, q2)
+
+
+@pytest.mark.parametrize("K", SIMILARITY_FIELDS)
+@pytest.mark.parametrize("tail", [[], [2]])
+def test_repeated_entries_cancel_like_the_eager_search(K, tail):
+    a, b, c = K.one, K.gen, 3 * K.gen + 1
+    q1 = QuadraticSpace.diagonal(K, [a, a, b] + tail)
+    q2 = QuadraticSpace.diagonal(K, [a, c, c] + tail)
+    got = _similar_over_K(q1, q2)
     assert (got.status, got.lambda_witness, got.reason) == _eager_similar_over_K(q1, q2)
