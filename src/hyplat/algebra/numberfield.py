@@ -100,6 +100,9 @@ class NumberField:
         self.chosen_embedding: int = embedding % len(self.real_roots)
         self._coeffs: list[int] = [int(c) for c in f]
         self._trace_inv: list[list[Fraction]] | None = None
+        # Elements are immutable, so one zero and one one serve every read.
+        self.zero: FieldElement = self.from_fraction(0)
+        self.one: FieldElement = self.from_fraction(1)
 
     # -- identity ----------------------------------------------------------
 
@@ -141,14 +144,6 @@ class NumberField:
 
     def from_fraction(self, q: Fraction | int) -> "FieldElement":
         return self.element([Fraction(q)])
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self.from_fraction(0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return self.from_fraction(1)
 
     @property
     def gen(self) -> "FieldElement":

@@ -1,10 +1,12 @@
 """Quadratic extensions L = K(sqrt(delta)) of a number field K.
 
 Elements are pairs (x, y) = x + y*sqrt(delta) with x, y in K; delta is a
-nonsquare of K of either sign.  These extensions are where transported
-subspaces live when a gluing ratio is irrational, so the point of the class
-is exact linear algebra and Galois conjugation — not embeddings (delta may be
-negative at the distinguished real place, making L complex there).
+nonsquare of K of either sign.  Transport across a nonsquare gluing is
+decided over K (`hyplat.hybrid`); xi may still be given with coordinates
+here, and `hyplat.hybrid.field_of_definition` descends subspaces over L.  The
+point of the class is exact linear algebra and Galois conjugation — not
+embeddings (delta may be negative at the distinguished real place, making L
+complex there).
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ __all__ = ["QuadraticExt", "QuadExtElement"]
 class QuadraticExt:
     """K(sqrt(delta)) for a certified nonsquare delta in K."""
 
-    def __init__(self, base: NumberField, delta: FieldElement, _trusted: bool = False):
+    def __init__(self, base: NumberField, delta: FieldElement):
         delta = base.coerce(delta)
         if not delta:
             raise ValueError("delta must be nonzero")
-        if not _trusted and is_square(delta) is not None:
+        if is_square(delta) is not None:
             raise ValueError(
                 "delta is a square in the base field; the extension is not a field"
             )

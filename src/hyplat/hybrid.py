@@ -14,9 +14,10 @@ blocks along such walls following a declared pattern:
 The gluing map between blocks i and j rescales the wall-normal coordinate by
 sqrt(alpha_j/alpha_i).  Whether a subspace spanned by a distinguished vector
 xi and a subspace U of H stays defined over the base field after transport is
-decided by honest Galois descent in K(sqrt(ratio)) — not by the coordinate
-shortcut — and the angle a wall makes with the hypersurface is the exact
-closed form q(P_Z e)/q(e).
+decided over K alone, by one rank: the span is Galois stable over
+K(sqrt(ratio)) exactly when the two K-parts of the transported xi are
+dependent modulo U.  The angle a wall makes with the hypersurface is the
+exact closed form q(P_Z e)/q(e).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from hyplat.errors import (
     CertificateError,
     DegenerateRestriction,
     DimensionMismatch,
+    FieldMismatch,
     MalformedComplex,
     NotAdmissible,
     ParseError,
@@ -58,7 +60,6 @@ __all__ = [
     "Gluing",
     "BlockComplex",
     "GlueMap",
-    "ComplexReport",
     "PairAnalysis",
     "TransportVerdict",
     "FinitenessReport",
@@ -227,22 +228,6 @@ class PairAnalysis:
         return not self.ratio_is_square
 
 
-@dataclass
-class ComplexReport:
-    pattern: str
-    n_blocks: int
-    n_gluings: int
-    checks: list[str]
-    pairs: list[PairAnalysis]
-
-    @property
-    def has_dissimilar_pair(self) -> bool:
-        return any(p.similarity.status == NOT_SIMILAR for p in self.pairs)
-
-    def __bool__(self) -> bool:
-        return True
-
-
 def _degrees(complex: BlockComplex) -> dict[str, int]:
     deg = {label: 0 for label in complex.blocks}
     for g in complex.gluings:
@@ -251,21 +236,19 @@ def _degrees(complex: BlockComplex) -> dict[str, int]:
     return deg
 
 
-def validate_complex(complex: BlockComplex) -> ComplexReport:
+def validate_complex(complex: BlockComplex) -> list[PairAnalysis]:
     """Structural validation plus per-gluing similarity analysis.
 
-    Raises MalformedComplex on any structural violation; the returned report
-    carries, for every gluing, the similarity verdict of the two ambient
+    Raises MalformedComplex on any structural violation; otherwise returns,
+    for every gluing in order, the similarity verdict of the two ambient
     forms and the square status of the gluing ratio.
     """
-    checks: list[str] = []
     if not complex.blocks:
         raise MalformedComplex("complex has no blocks")
     field = complex.field
     for b in complex.blocks.values():
         if b.field != field:
             raise MalformedComplex("blocks live over different fields")
-    checks.append("all blocks share one base field")
     pairs: list[PairAnalysis] = []
     for g in complex.gluings:
         for end in (g.left, g.right):
@@ -284,9 +267,6 @@ def validate_complex(complex: BlockComplex) -> ComplexReport:
                 gm.ratio_is_square,
             )
         )
-    checks.append("every gluing joins blocks with identical shared forms")
-    if any(p.similarity.status == NOT_SIMILAR for p in pairs):
-        checks.append("at least one adjacent pair is certified dissimilar")
 
     pattern = complex.pattern
     if pattern == "gps":
@@ -294,7 +274,6 @@ def validate_complex(complex: BlockComplex) -> ComplexReport:
             raise MalformedComplex(
                 "gps pattern needs exactly two blocks and one gluing"
             )
-        checks.append("gps shape: two blocks, one interbreeding wall")
     elif pattern == "cycle":
         deg = _degrees(complex)
         if any(d != 2 for d in deg.values()):
@@ -305,7 +284,6 @@ def validate_complex(complex: BlockComplex) -> ComplexReport:
             raise MalformedComplex("cycle pattern: edge count must equal block count")
         if not _connected(complex):
             raise MalformedComplex("cycle pattern: gluing graph is disconnected")
-        checks.append("cycle shape: connected and two walls per block")
     elif pattern == "gl":
         deg = _degrees(complex)
         if any(d != 4 for d in deg.values()):
@@ -341,12 +319,7 @@ def validate_complex(complex: BlockComplex) -> ComplexReport:
                 )
         if not _connected(complex):
             raise MalformedComplex("gl pattern: gluing graph is disconnected")
-        checks.append("gl shape: 4-regular, labeled, one exceptional color")
-    else:
-        checks.append("general pattern: no combinatorial constraint")
-    return ComplexReport(
-        pattern, len(complex.blocks), len(complex.gluings), checks, pairs
-    )
+    return pairs
 
 
 def _connected(complex: BlockComplex) -> bool:
@@ -388,8 +361,11 @@ def transported_subspace_rational(
 
     Preconditions: U inside the hypersurface H = {y0 = 0}; xi outside H
     (XiInsideH otherwise).  xi may have coordinates in K(sqrt(ratio)) when
-    the ratio is a nonsquare; there the answer is decided by Galois
-    stability of the span over K(sqrt(ratio)).
+    the ratio is a nonsquare.  Write xi = x + sqrt(ratio)*y with x, y over
+    K; then Phi(xi) = a + sqrt(ratio)*b with a = (ratio*y0, x_H) and
+    b = (x0, y_H).  Phi(xi) is not in U (a0 or b0 is nonzero), so the span
+    is Galois stable iff [U; a; b] has rank dim U + 1 over K, and that
+    K-span is its K-form.
     """
     K = glue.field
     n = glue.ambient_dim
@@ -412,23 +388,26 @@ def transported_subspace_rational(
         return TransportVerdict(
             RATIONAL, span, "gluing ratio is a square; transport stays over K"
         )
-    L = QuadraticExt(K, glue.ratio, _trusted=True)
-    w = [L.coerce(c) for c in xi]
-    if not w[0]:
+    x, y = [], []
+    for c in xi:
+        if isinstance(c, QuadExtElement):
+            if c.ext.base != K or c.ext.delta != glue.ratio:
+                raise FieldMismatch(
+                    "element belongs to a different quadratic extension"
+                )
+            x.append(c.x)
+            y.append(c.y)
+        else:
+            x.append(K.coerce(c))
+            y.append(K.zero)
+    if not x[0] and not y[0]:
         raise XiInsideH("xi lies inside the shared hypersurface")
-    r = L.gen
-    phi_xi = tuple([r * w[0]] + list(w[1:]))
-    vectors = [phi_xi] + [[L.from_base(c) for c in b] for b in U.basis]
-    W = Subspace(L, n, vectors)
-    conj = Subspace(L, n, [[c.conjugate() for c in b] for b in W.basis])
-    if W == conj:
-        k_basis = field_of_definition(W)
-        if k_basis is None:
-            raise CertificateError(
-                "a Galois-stable span has no field of definition over K"
-            )
+    a = [glue.ratio * y[0]] + x[1:]
+    b = [x[0]] + y[1:]
+    span = Subspace(K, n, list(U.basis) + [a, b])
+    if span.dim == U.dim + 1:
         return TransportVerdict(
-            RATIONAL, k_basis, "span is Galois stable over K(sqrt(ratio))"
+            RATIONAL, span, "span is Galois stable over K(sqrt(ratio))"
         )
     return TransportVerdict(
         IRRATIONAL, None, "span is not Galois stable over K(sqrt(ratio))"
@@ -532,8 +511,7 @@ def finiteness_verdict(complex: BlockComplex) -> FinitenessReport:
     gluing ratio: a nonsquare ratio forces crossing geodesic pieces to meet
     the cutting hypersurface orthogonally.
     """
-    report = validate_complex(complex)
-    pairs = report.pairs
+    pairs = validate_complex(complex)
     for p in pairs:
         if p.similarity.status == NOT_SIMILAR:
             return FinitenessReport(

@@ -88,11 +88,12 @@ class QuadraticSpace:
     (restrictions to subspaces must be representable); such spaces are
     flagged and rejected by every classification routine.
 
-    The Gram matrix G is immutable, so it is congruence-diagonalized once,
-    at construction: T^t G T = diag(D).  T is built from swaps and shears
-    only, so det T = +-1 and det G = prod(D) exactly; degeneracy (some D
-    entry is 0), the discriminant, the signatures at every embedding and
-    the diagonal entries are all read from that one elimination.
+    A space is its Gram matrix G plus one diagonalization D: G is
+    congruent to diag(D) by swaps and shears only, so det G = prod(D)
+    exactly.  Degeneracy (some D entry is 0), the discriminant, the
+    signatures at every embedding and the diagonal entries are all read
+    from D.  G is immutable, so D is found once, by one elimination at
+    construction, or carried over by `scale` and `direct_sum`.
     """
 
     def __init__(self, field: NumberField, gram: Matrix, allow_degenerate: bool = False):
@@ -102,14 +103,14 @@ class QuadraticSpace:
             raise DimensionMismatch("Gram matrix must be square")
         if not gram.is_symmetric:
             raise NotSymmetric("Gram matrix must be symmetric")
-        self._set(field, gram, symmetric_diagonalize(gram), allow_degenerate)
+        self._set(field, gram, symmetric_diagonalize(gram)[0], allow_degenerate)
 
-    def _set(self, field: NumberField, gram: Matrix,
-             diagonalization: tuple[list[FieldElement], Matrix], allow_degenerate: bool) -> None:
+    def _set(self, field: NumberField, gram: Matrix, D: list[FieldElement],
+             allow_degenerate: bool) -> None:
         self.field = field
         self.gram = gram
-        self._diagonalization = diagonalization
-        self.is_degenerate = not all(diagonalization[0])
+        self._diagonal = D
+        self.is_degenerate = not all(D)
         if self.is_degenerate and not allow_degenerate:
             raise DegenerateRestriction("Gram matrix is singular")
         self._profile: tuple[tuple[int, int, int], ...] | None = None
@@ -144,31 +145,31 @@ class QuadraticSpace:
         return QuadraticSpace(self.field, gram, allow_degenerate=True)
 
     def scale(self, lam) -> "QuadraticSpace":
-        """The space (V, lam*q), diagonalized by (lam*D, T) with no new
+        """The space (V, lam*q), diagonalized by lam*D with no new
         elimination: for lam != 0, eliminating lam*G would take the same
         pivots and the same ratios as eliminating G."""
         lam = self.field.coerce(lam)
-        D, T = self._diagonalization
         space = QuadraticSpace.__new__(QuadraticSpace)
-        space._set(self.field, self.gram * lam, ([lam * d for d in D], T),
+        space._set(self.field, self.gram * lam, [lam * d for d in self._diagonal],
                    self.is_degenerate)
         return space
 
     def signature(self, j: int | None = None) -> tuple[int, int, int]:
         if self._profile is None:
-            self._profile = diagonal_signature_profile(
-                self.field, self._diagonalization[0]
-            )
+            self._profile = diagonal_signature_profile(self.field, self._diagonal)
         return self._profile[self.field.chosen_embedding if j is None else j]
 
     def diagonal_entries(self) -> list[FieldElement]:
-        return list(self._diagonalization[0])
+        return list(self._diagonal)
 
     def __repr__(self) -> str:
         return f"QuadraticSpace(dim {self.dim} over {self.field!r})"
 
 
 def direct_sum(a: QuadraticSpace, b: QuadraticSpace) -> QuadraticSpace:
+    """a + b on the block-diagonal Gram matrix, diagonalized by D_a + D_b
+    with no new elimination: that is a diagonalization, since the blocks
+    do not interact."""
     if a.field != b.field:
         raise FieldMismatch("direct sum over different fields")
     n, m = a.dim, b.dim
@@ -178,8 +179,10 @@ def direct_sum(a: QuadraticSpace, b: QuadraticSpace) -> QuadraticSpace:
         rows.append(list(a.gram.rows[i]) + [field.zero] * m)
     for i in range(m):
         rows.append([field.zero] * n + list(b.gram.rows[i]))
-    return QuadraticSpace(field, Matrix(field, rows),
-                          allow_degenerate=a.is_degenerate or b.is_degenerate)
+    space = QuadraticSpace.__new__(QuadraticSpace)
+    space._set(field, Matrix(field, rows), a._diagonal + b._diagonal,
+               a.is_degenerate or b.is_degenerate)
+    return space
 
 
 # ---------------------------------------------------------------------------

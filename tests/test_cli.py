@@ -210,8 +210,10 @@ class TestHybridCommands:
         assert len(calls) == 3
 
     def test_verify_diagonal_forms_take_no_det_and_no_pivot_inverse(self, capsys, monkeypatch):
-        # Every form here is diagonal: one elimination per space, and it
-        # clears nothing, so no pivot is inverted and no determinant is taken.
+        # Every form here is diagonal: one elimination for the shared form
+        # and one per 1x1 <alpha>, each ambient <alpha> + shared reuses its
+        # parts' diagonals, and no elimination clears anything, so no pivot
+        # is inverted and no determinant is taken.
         import hyplat.linalg
         import hyplat.quadform
         from hyplat.algebra.numberfield import FieldElement
@@ -247,7 +249,7 @@ class TestHybridCommands:
         assert "HypothesesNotMet" in out
         assert counts["det"] == 0
         assert counts["pivot inverse"] == 0
-        assert counts["diagonalize"] >= 3
+        assert counts["diagonalize"] == 4
 
     @pytest.mark.parametrize("name, verdict, gluings", [
         ("sqrt2_cycle_squares", "HypothesesNotMet", 3),  # lambda = 1 is verified first

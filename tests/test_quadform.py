@@ -523,10 +523,9 @@ def test_one_elimination_gives_det_degeneracy_and_scaling(KG, lam_coords):
     if not lam:
         return
     scaled = space.scale(lam)
-    D2, T2 = symmetric_diagonalize(G * lam)
+    D2, _ = symmetric_diagonalize(G * lam)
     assert scaled.gram == G * lam
     assert scaled.diagonal_entries() == D2 == [lam * d for d in D]
-    assert scaled._diagonalization[1] == T2 == space._diagonalization[1]
     assert scaled.is_degenerate == space.is_degenerate
 
 
