@@ -256,16 +256,20 @@ def _split(q: Fraction, p: int) -> tuple[int, int]:
     return alpha, unit
 
 
-def hilbert_symbol(a: Fraction | int, b: Fraction | int, place) -> int:
-    """Hilbert symbol (a, b)_v over Q_v; place is a prime or "inf"."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("Hilbert symbol needs nonzero arguments")
+def _place(place) -> int | None:
+    """The prime of a finite place, proven prime; None for the real place."""
     if place in ("inf", "infinity", None) or place == float("inf"):
-        return -1 if a < 0 and b < 0 else 1
+        return None
     p = int(place)
     if not is_prime(p):
         raise ValueError(f"place {place!r} is not a prime or 'inf'")
+    return p
+
+
+def _hilbert(a, b, p: int | None) -> int:
+    """(a, b)_p for nonzero ints or Fractions a, b at a place checked by `_place`."""
+    if p is None:
+        return -1 if a < 0 and b < 0 else 1
     alpha, u = _split(a, p)
     beta, v = _split(b, p)
     if p != 2:
@@ -289,6 +293,29 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, place) -> int:
     return -1 if e & 1 else 1
 
 
+def hilbert_symbol(a: Fraction | int, b: Fraction | int, place) -> int:
+    """Hilbert symbol (a, b)_v over Q_v; place is a prime or "inf"."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbol needs nonzero arguments")
+    return _hilbert(a, b, _place(place))
+
+
+def _hasse(diag: Sequence, p: int | None) -> int:
+    out = 1
+    for i, a in enumerate(diag):
+        for b in diag[i + 1:]:
+            out *= _hilbert(a, b, p)
+    return out
+
+
+def hasse_invariant(diag: Sequence[Fraction], place) -> int:
+    """prod_{i<j} (d_i, d_j)_v, with the place proven prime once."""
+    if any(d == 0 for d in diag):
+        raise ValueError("Hilbert symbol needs nonzero arguments")
+    return _hasse(diag, _place(place))
+
+
 def rational_diagonal(space: QuadraticSpace) -> list[Fraction]:
     """Diagonalization of a nondegenerate rational space, as Fractions."""
     if not space.field.is_rationals:
@@ -298,19 +325,48 @@ def rational_diagonal(space: QuadraticSpace) -> list[Fraction]:
     return [d.to_fraction() for d in space.diagonal_entries()]
 
 
-def disc_class(diag: Sequence[Fraction]) -> int:
-    prod = Fraction(1)
-    for d in diag:
-        prod *= d
-    return squarefree_part(prod)
+# A square class of Q*: its sign and the set of primes of odd exponent.  The
+# classes form a GF(2) vector space, so a product of classes is the product
+# of the signs and the symmetric difference (XOR) of the prime sets.
+SquareClass = tuple[int, frozenset]
 
 
-def hasse_invariant(diag: Sequence[Fraction], place) -> int:
-    out = 1
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            out *= hilbert_symbol(diag[i], diag[j], place)
+def _square_classes(*diags: Sequence[Fraction]) -> list[list[SquareClass]]:
+    """The square class of every entry, from one `factorize` of each
+    distinct |numerator| and denominator among them."""
+    odd: dict[int, frozenset] = {1: frozenset()}
+
+    def primes(n: int) -> frozenset:
+        if n not in odd:
+            odd[n] = frozenset(p for p, e in factorize(n).items() if e & 1)
+        return odd[n]
+
+    return [[(1 if d > 0 else -1, primes(abs(d.numerator)) ^ primes(d.denominator))
+             for d in diag] for diag in diags]
+
+
+def _times(a: SquareClass, b: SquareClass) -> SquareClass:
+    return a[0] * b[0], a[1] ^ b[1]
+
+
+def _disc(classes: Sequence[SquareClass]) -> SquareClass:
+    out: SquareClass = (1, frozenset())
+    for c in classes:
+        out = _times(out, c)
     return out
+
+
+def _squarefree(c: SquareClass) -> int:
+    """The signed squarefree integer in the class."""
+    return c[0] * prod(c[1])
+
+
+def _relevant(*class_lists: Sequence[SquareClass]) -> list[int]:
+    return sorted({2}.union(*(c[1] for classes in class_lists for c in classes)))
+
+
+def disc_class(diag: Sequence[Fraction]) -> int:
+    return _squarefree(_disc(_square_classes(diag)[0]))
 
 
 def relevant_primes(*diags: Sequence[Fraction]) -> list[int]:
@@ -319,12 +375,7 @@ def relevant_primes(*diags: Sequence[Fraction]) -> list[int]:
     Outside this set all entries are p-adic units for odd p, so every Hilbert
     symbol — hence both Hasse invariants — is +1.
     """
-    primes = {2}
-    for diag in diags:
-        for d in diag:
-            sf = squarefree_part(d)
-            primes.update(factorize(abs(sf)).keys() if abs(sf) > 1 else ())
-    return sorted(primes)
+    return _relevant(*_square_classes(*diags))
 
 
 def _signature_from_diagonal(diag: Sequence[Fraction]) -> tuple[int, int]:
@@ -346,6 +397,34 @@ class IsometryVerdict:
         return self.isometric
 
 
+def _isometric_classes(c1: Sequence[SquareClass], c2: Sequence[SquareClass]) -> IsometryVerdict:
+    """Hasse-Minkowski on the square classes of two diagonals of the same
+    dimension and signature: discriminant class, then the Hasse invariants
+    at the relevant primes, evaluated on squarefree representatives (a
+    Hilbert symbol depends only on the classes of its arguments)."""
+    D1, D2 = _squarefree(_disc(c1)), _squarefree(_disc(c2))
+    if D1 != D2:
+        return IsometryVerdict(False, f"discriminant class {D1} != {D2}")
+    primes = _relevant(c1, c2)
+    v1, v2 = [_squarefree(c) for c in c1], [_squarefree(c) for c in c2]
+    for p in primes:
+        if _hasse(v1, p) != _hasse(v2, p):
+            return IsometryVerdict(False, f"Hasse invariant differs at p={p}")
+    # Outside the relevant set the invariants are provably trivial; spot
+    # check the first two excluded odd primes.
+    extra = [p for p in (3, 5, 7, 11, 13) if p not in primes][:2]
+    for p in extra:
+        if not _hasse(v1, p) == 1 == _hasse(v2, p):
+            raise CertificateError(
+                f"Hasse invariant at p={p}, outside the relevant primes, is not 1"
+            )
+    return IsometryVerdict(
+        True,
+        "dimension, signature, discriminant and Hasse invariants at "
+        f"{{{', '.join(map(str, primes))}}} all match",
+    )
+
+
 def isometric_over_Q(q1: QuadraticSpace, q2: QuadraticSpace) -> IsometryVerdict:
     """Complete isometry decision over Q.
 
@@ -358,28 +437,7 @@ def isometric_over_Q(q1: QuadraticSpace, q2: QuadraticSpace) -> IsometryVerdict:
     s1, s2 = _signature_from_diagonal(d1), _signature_from_diagonal(d2)
     if s1 != s2:
         return IsometryVerdict(False, f"signature {s1} != {s2}")
-    if disc_class(d1) != disc_class(d2):
-        return IsometryVerdict(
-            False, f"discriminant class {disc_class(d1)} != {disc_class(d2)}"
-        )
-    primes = relevant_primes(d1, d2)
-    for p in primes:
-        h1, h2 = hasse_invariant(d1, p), hasse_invariant(d2, p)
-        if h1 != h2:
-            return IsometryVerdict(False, f"Hasse invariant differs at p={p}")
-    # Outside the relevant set the invariants are provably trivial; spot
-    # check the first two excluded odd primes.
-    extra = [p for p in (3, 5, 7, 11, 13) if p not in primes][:2]
-    for p in extra:
-        if not hasse_invariant(d1, p) == 1 == hasse_invariant(d2, p):
-            raise CertificateError(
-                f"Hasse invariant at p={p}, outside the relevant primes, is not 1"
-            )
-    return IsometryVerdict(
-        True,
-        "dimension, signature, discriminant and Hasse invariants at "
-        f"{{{', '.join(map(str, primes))}}} all match",
-    )
+    return _isometric_classes(*_square_classes(d1, d2))
 
 
 # ---------------------------------------------------------------------------
@@ -411,54 +469,58 @@ def _similar_over_Q(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict
             NOT_SIMILAR, None,
             f"no scalar sign matches signatures {s1} vs {s2}",
         )
-    D1, D2 = disc_class(d1), disc_class(d2)
+    # Every class below is a product of these by XOR: nothing else is factored.
+    c1, c2 = _square_classes(d1, d2)
+    D1, D2 = _disc(c1), _disc(c2)
 
-    def verify(lam: int) -> SimilarityVerdict | None:
-        if (1 if lam > 0 else -1) not in signs:
+    def verify(lam: SquareClass) -> SimilarityVerdict | None:
+        # The sign test is the signature test of lam*q1 against q2.
+        if lam[0] not in signs:
             return None
-        if isometric_over_Q(q1.scale(Fraction(lam)), q2):
+        if _isometric_classes([_times(lam, c) for c in c1], c2):
+            value = _squarefree(lam)
             return SimilarityVerdict(
-                SIMILAR, QQ.from_fraction(lam),
-                f"lambda = {lam} verified by the complete isometry test",
+                SIMILAR, QQ.from_fraction(value),
+                f"lambda = {value} verified by the complete isometry test",
             )
         return None
 
     if m % 2 == 1:
         # disc(lambda q) = lambda^m disc(q) == lambda * disc(q) mod squares:
         # the square class of lambda is forced.
-        forced = squarefree_part(Fraction(D1 * D2))
+        forced = _times(D1, D2)
         got = verify(forced)
         if got:
             return got
         return SimilarityVerdict(
             NOT_SIMILAR, None,
-            f"odd dimension forces lambda = {forced} mod squares, which fails "
-            "the isometry invariants",
+            f"odd dimension forces lambda = {_squarefree(forced)} mod squares, "
+            "which fails the isometry invariants",
         )
 
     # Even dimension: the discriminant class is a similarity invariant.
     if D1 != D2:
         return SimilarityVerdict(
-            NOT_SIMILAR, None, f"discriminant class {D1} != {D2} (even dimension)"
+            NOT_SIMILAR, None,
+            f"discriminant class {_squarefree(D1)} != {_squarefree(D2)} (even dimension)",
         )
-    primes = relevant_primes(d1, d2)
-    # The squarefree divisors of prod(primes), built from the known primes
-    # rather than by factoring their product: two primes above 10^6 would
-    # put that product past the factorization bound.
-    supported = [1]
+    primes = _relevant(c1, c2)
+    # The squarefree divisors of prod(primes), as sets of known primes.
+    supported = [frozenset()]
     for p in primes:
-        supported += [t * p for t in supported]
+        supported += [t | {p} for t in supported]
     for t in supported:
-        for lam in (t, -t):
-            got = verify(lam)
+        for sign in (1, -1):
+            got = verify((sign, t))
             if got:
                 return got
     # No bad-set scalar works.  Scaling twists the Hasse invariant by
     # (lambda, c)_v with c = (-1)^(m(m-1)/2) * disc; if c is a square in some
     # Q_v where the invariants disagree, no scalar can ever fix place v.
-    c = squarefree_part(Fraction((-1) ** ((m * (m - 1) // 2) % 2) * D1))
+    c = (-1) ** ((m * (m - 1) // 2) % 2) * _squarefree(D1)
+    v1, v2 = [_squarefree(x) for x in c1], [_squarefree(x) for x in c2]
     for p in primes:
-        delta = hasse_invariant(d1, p) * hasse_invariant(d2, p)
+        delta = _hasse(v1, p) * _hasse(v2, p)
         if delta == -1 and _is_local_square(c, p):
             return SimilarityVerdict(
                 NOT_SIMILAR, None,
@@ -470,8 +532,8 @@ def _similar_over_Q(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict
     aux = primes_outside(primes, count=40)
     for r in aux:
         for t in supported:
-            for lam in (t * r, -t * r):
-                got = verify(lam)
+            for sign in (1, -1):
+                got = verify((sign, t | {r}))
                 if got:
                     return got
     raise RuntimeError(

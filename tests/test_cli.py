@@ -141,6 +141,25 @@ class TestFormCommands:
         assert code == 1
         assert "NotCommensurable" in out
 
+    def test_commensurable_factors_each_entry_once(self, capsys, monkeypatch):
+        # The golden rational_big_scaled_dim5 pair: each distinct |numerator|
+        # and denominator above 1 is factored once, and nothing else is, so
+        # no product of entries and no scaled entry is ever factored.
+        import hyplat.quadform
+
+        left = "diag(22488301457,7,37458823449,2,-1)"
+        right = "diag(3/2,112376470347,-3/4,67464904371/4,21)"
+        factored = []
+        factorize = hyplat.quadform.factorize
+        monkeypatch.setattr(hyplat.quadform, "factorize",
+                            lambda n: factored.append(n) or factorize(n))
+        code, out, _ = run(capsys, "form", "commensurable", left, right)
+        assert code == 0
+        assert "Commensurable (lambda = 3)" in out
+        assert len(factored) == len(set(factored)) == 9
+        assert set(factored) == {22488301457, 7, 37458823449, 2,
+                                 3, 112376470347, 4, 67464904371, 21}
+
     def test_commensurable_files_share_their_field(self, capsys, built_fields):
         a, b = (str(GOLDEN_INPUTS / f"sqrt2_{x}.form") for x in "ab")
         code, out, _ = run(capsys, "form", "commensurable", a, b)

@@ -6,7 +6,8 @@ three catalog diagrams (a cycle field of degree 4, one of degree 8, and a
 non-simplex with splitting candidates); ``hybrid verify``, ``hybrid angle``,
 ``form check`` and ``form commensurable`` on the complexes and forms in
 ``tests/golden/inputs/`` over Q(sqrt 2), Q(sqrt 5), x^3 - 3x + 1 and
-x^4 - 14x^2 + 9; and ``links compose`` on an inline sum and on a script.
+x^4 - 14x^2 + 9, and ``form commensurable`` on inline diagonal forms over
+Q; and ``links compose`` on an inline sum and on a script.
 Any change to a verdict, a certificate or the report layout shows up here
 as a diff.  The ``coxeter analyze`` reports are also compared in process
 with ``MultiquadraticField.galois_action`` disabled: cycle fields come from
@@ -47,6 +48,23 @@ FORM_PAIRS = {
     "quartic_scaled": ("quartic_a", "quartic_b"),
     "quartic_discriminant": ("quartic_a", "quartic_c"),
 }
+# form commensurable over Q: golden name -> (left, right) inline diagonal forms.
+# The big_scaled pairs carry entries that are products of two primes in
+# (10^5, 1.5*10^5); auxiliary_prime is similar only by lambda = 33, whose
+# prime 3 divides no entry; local_square has its Hasse defect at p = 3, where
+# c = -23 is a square; the pinned pairs are acceptance criterion 2(d).
+RATIONAL_PAIRS = {
+    "rational_big_scaled_dim3": ("diag(20004400114,12482699051,-3)",
+                                 "diag(-30,50011000285,62413495255/2)"),
+    "rational_big_scaled_dim5": ("diag(22488301457,7,37458823449,2,-1)",
+                                 "diag(3/2,112376470347,-3/4,67464904371/4,21)"),
+    "rational_discriminant": ("diag(6,10,15,-11)", "diag(3,5,7,-11)"),
+    "rational_auxiliary_prime": ("diag(13,22,22,-17)", "diag(14,26,17,-28)"),
+    "rational_local_square": ("diag(16,21,23,-21)", "diag(3,27,4,-23)"),
+    "rational_odd_forced": ("diag(1,1,-1)", "diag(1,1,-7)"),
+    "rational_pinned_discriminant": ("diag(1,1,1,-1)", "diag(1,1,1,-2)"),
+    "rational_pinned_scaled": ("diag(1,1,1,-1)", "diag(2,2,2,-2)"),
+}
 FORMS = sorted(p.stem for p in INPUTS.glob("*.form"))
 # hybrid angle: golden name -> (form, line e, subspace Z)
 ANGLES = {
@@ -68,6 +86,8 @@ CASES = {
     **{f"hybrid_verify/{c}.json": ["hybrid", "verify", f"{c}.cpx"] for c in COMPLEXES},
     **{f"form_commensurable/{name}.json": ["form", "commensurable", f"{a}.form", f"{b}.form"]
        for name, (a, b) in FORM_PAIRS.items()},
+    **{f"form_commensurable/{name}.json": ["form", "commensurable", a, b]
+       for name, (a, b) in RATIONAL_PAIRS.items()},
     **{f"form_check/{f}.json": ["form", "check", f"{f}.form"] for f in FORMS},
     **{f"hybrid_angle/{name}.json": ["hybrid", "angle", f"{form}.form", "--e", e, "--z", z]
        for name, (form, e, z) in ANGLES.items()},

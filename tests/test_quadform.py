@@ -13,9 +13,10 @@ from itertools import permutations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyplat.algebra.arith import factorize, primes_outside
 from hyplat.algebra.numberfield import QQ, NumberField, is_square, sign_at_embedding
 from hyplat.errors import (
     DegenerateRestriction,
@@ -30,7 +31,9 @@ from hyplat.quadform import (
     SIMILAR,
     UNKNOWN,
     QuadraticSpace,
+    _is_local_square,
     _similar_over_K,
+    _similar_over_Q,
     commensurable,
     direct_sum,
     disc_class,
@@ -668,3 +671,181 @@ def test_repeated_entries_cancel_like_the_eager_search(K, tail):
     q2 = QuadraticSpace.diagonal(K, [a, c, c] + tail)
     got = _similar_over_K(q1, q2)
     assert (got.status, got.lambda_witness, got.reason) == _eager_similar_over_K(q1, q2)
+
+
+# ---------------------------------------------------------------------------
+# Square classes against the factor-everything search over Q
+# ---------------------------------------------------------------------------
+
+
+def _old_disc_class(diag):
+    return squarefree_part(prod(diag, start=F(1)))
+
+
+def _old_hasse_invariant(diag, place):
+    out = 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            out *= hilbert_symbol(diag[i], diag[j], place)
+    return out
+
+
+def _old_relevant_primes(*diags):
+    primes = {2}
+    for diag in diags:
+        for d in diag:
+            sf = squarefree_part(d)
+            primes.update(factorize(abs(sf)).keys() if abs(sf) > 1 else ())
+    return sorted(primes)
+
+
+def _signature(diag):
+    p = sum(1 for d in diag if d > 0)
+    return p, len(diag) - p
+
+
+def _old_isometric_over_Q(q1, q2):
+    """The isometry test that factored every entry, and the entry product,
+    of the two diagonals it was given: (isometric, reason)."""
+    if q1.dim != q2.dim:
+        return False, f"dimension {q1.dim} != {q2.dim}"
+    d1, d2 = rational_diagonal(q1), rational_diagonal(q2)
+    s1, s2 = _signature(d1), _signature(d2)
+    if s1 != s2:
+        return False, f"signature {s1} != {s2}"
+    if _old_disc_class(d1) != _old_disc_class(d2):
+        return False, f"discriminant class {_old_disc_class(d1)} != {_old_disc_class(d2)}"
+    primes = _old_relevant_primes(d1, d2)
+    for p in primes:
+        if _old_hasse_invariant(d1, p) != _old_hasse_invariant(d2, p):
+            return False, f"Hasse invariant differs at p={p}"
+    extra = [p for p in (3, 5, 7, 11, 13) if p not in primes][:2]
+    for p in extra:
+        assert _old_hasse_invariant(d1, p) == 1 == _old_hasse_invariant(d2, p)
+    return True, ("dimension, signature, discriminant and Hasse invariants at "
+                  f"{{{', '.join(map(str, primes))}}} all match")
+
+
+def _old_similar_over_Q(q1, q2):
+    """The search that ran the whole isometry test on q1.scale(lambda) for
+    every candidate, factoring each scaled entry again: (status, lambda,
+    reason)."""
+    m = q1.dim
+    d1, d2 = rational_diagonal(q1), rational_diagonal(q2)
+    s1, s2 = _signature(d1), _signature(d2)
+    signs = [1] * (s1 == s2) + [-1] * ((s1[1], s1[0]) == s2)
+    if not signs:
+        return NOT_SIMILAR, None, f"no scalar sign matches signatures {s1} vs {s2}"
+    D1, D2 = _old_disc_class(d1), _old_disc_class(d2)
+
+    def verify(lam):
+        if (1 if lam > 0 else -1) in signs and _old_isometric_over_Q(q1.scale(F(lam)), q2)[0]:
+            return (SIMILAR, QQ.from_fraction(lam),
+                    f"lambda = {lam} verified by the complete isometry test")
+        return None
+
+    if m % 2 == 1:
+        forced = squarefree_part(F(D1 * D2))
+        return verify(forced) or (
+            NOT_SIMILAR, None,
+            f"odd dimension forces lambda = {forced} mod squares, which fails "
+            "the isometry invariants")
+    if D1 != D2:
+        return NOT_SIMILAR, None, f"discriminant class {D1} != {D2} (even dimension)"
+    primes = _old_relevant_primes(d1, d2)
+    supported = [1]
+    for p in primes:
+        supported += [t * p for t in supported]
+    for lam in (s * t for t in supported for s in (1, -1)):
+        if got := verify(lam):
+            return got
+    c = squarefree_part(F((-1) ** ((m * (m - 1) // 2) % 2) * D1))
+    for p in primes:
+        if _old_hasse_invariant(d1, p) * _old_hasse_invariant(d2, p) == -1 \
+                and _is_local_square(c, p):
+            return NOT_SIMILAR, None, (
+                f"Hasse invariants differ at p={p} but c={c} is a square in "
+                f"Q_{p}, so no scalar can repair that place")
+    for lam in (s * t * r for r in primes_outside(primes, count=40)
+                for t in supported for s in (1, -1)):
+        if got := verify(lam):
+            return got
+    raise AssertionError("auxiliary primes exhausted")
+
+
+# Primes in (10^5, 1.5 * 10^5), like the benchmark's big-height entries.
+BIG_PRIMES = [100003, 100019, 100043, 111721, 149993]
+RATIONAL_ENTRY = st.one_of(
+    st.integers(-12, 12).filter(bool).map(F),
+    st.builds(F, st.integers(-12, 12).filter(bool), st.integers(1, 9)),
+)
+BIG_ENTRY = st.builds(
+    lambda sign, small, primes: F(sign * small * prod(primes)),
+    st.sampled_from([1, -1]), st.integers(1, 9),
+    st.lists(st.sampled_from(BIG_PRIMES), min_size=1, max_size=2),
+)
+
+
+@st.composite
+def _rational_pairs(draw):
+    """(kind, q1, q2) over Q: q2 is lambda*q1 with entries permuted and
+    scaled by squares, the same with one entry twisted by 3 or by a big
+    prime, or unrelated; big-height entries appear in each kind."""
+    m = draw(st.integers(1, 6))
+    entry = st.one_of(RATIONAL_ENTRY, BIG_ENTRY) if draw(st.booleans()) else RATIONAL_ENTRY
+    a = draw(st.lists(entry, min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["scaled", "twisted", "unrelated"]))
+    if kind == "unrelated":
+        b = draw(st.lists(entry, min_size=m, max_size=m))
+    else:
+        lam = draw(RATIONAL_ENTRY)
+        squares = draw(st.lists(st.sampled_from([1, 2, 3, F(1, 2)]), min_size=m, max_size=m))
+        b = [lam * x * s * s for x, s in zip(a, squares)]
+        if kind == "twisted":
+            b[0] *= draw(st.sampled_from([3, BIG_PRIMES[0]]))
+        b = draw(st.permutations(b))
+    return kind, QuadraticSpace.diagonal(QQ, a), QuadraticSpace.diagonal(QQ, b)
+
+
+@given(_rational_pairs())
+@example(("auxiliary", QuadraticSpace.diagonal(QQ, [13, 22, 22, -17]),
+          QuadraticSpace.diagonal(QQ, [14, 26, 17, -28])))  # lambda = 33
+@example(("obstructed", QuadraticSpace.diagonal(QQ, [16, 21, 23, -21]),
+          QuadraticSpace.diagonal(QQ, [3, 27, 4, -23])))  # c a square in Q_3
+@settings(max_examples=160, deadline=None)
+def test_square_classes_match_the_factor_everything_search(case):
+    kind, q1, q2 = case
+    got = _similar_over_Q(q1, q2)
+    assert (got.status, got.lambda_witness, got.reason) == _old_similar_over_Q(q1, q2)
+    if kind == "scaled":
+        assert got.status == SIMILAR
+    if kind == "twisted" and q1.dim % 2 == 0:
+        assert got.status == NOT_SIMILAR
+    d1, d2 = rational_diagonal(q1), rational_diagonal(q2)
+    assert disc_class(d1) == _old_disc_class(d1)
+    assert relevant_primes(d1, d2) == _old_relevant_primes(d1, d2)
+    for p in relevant_primes(d1, d2) + ["inf"]:
+        assert hasse_invariant(d1, p) == _old_hasse_invariant(d1, p)
+    verdict = isometric_over_Q(q1, q2)
+    assert (verdict.isometric, verdict.reason) == _old_isometric_over_Q(q1, q2)
+    if got.lambda_witness is not None:
+        scaled = q1.scale(got.lambda_witness)
+        verdict = isometric_over_Q(scaled, q2)
+        assert verdict.isometric
+        assert (verdict.isometric, verdict.reason) == _old_isometric_over_Q(scaled, q2)
+
+
+def test_hasse_invariant_proves_its_place_once(monkeypatch):
+    import hyplat.quadform
+
+    diag = [F(3), F(-5), F(7, 2), F(11), F(-6)]
+    expected = _old_hasse_invariant(diag, 7)  # ten proofs, one per symbol
+    calls = []
+    is_prime = hyplat.quadform.is_prime
+    monkeypatch.setattr(hyplat.quadform, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert hasse_invariant(diag, 7) == expected
+    assert calls == [7]
+    with pytest.raises(ValueError):
+        hasse_invariant(diag, 9)
+    with pytest.raises(ValueError):
+        hasse_invariant([F(1), F(0)], 3)
