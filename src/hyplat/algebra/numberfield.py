@@ -20,6 +20,18 @@ Over a totally real field `is_square` decides squares exactly: the traces of
 an integral multiple of a square root are rational integers, which interval
 enclosures narrower than 1 determine, and squaring verifies the root.
 
+A field of degree > 1 also keeps `RESIDUE_PLACES` degree-1 primes
+P = (p, t - r), p odd and r a simple root of f mod p.  The local ring of
+Z[t] at P is a discrete valuation ring (f = (t - r)h + pk with h(r) != 0
+mod p, so P is generated by p there; Dedekind-Kummer, Cohen GTM 138,
+section 4.8), and t -> r maps it onto F_p.  So an element whose
+denominator p does not divide, and whose image is nonzero, has a residue
+character +-1 at P, and a square has +1.  `square_class` records an
+element's signs at the real places and these characters; both are
+multiplicative, so the class of a product is the XOR of its factors'
+classes.  A -1 proves a non-square; a square is only ever certified by its
+root.
+
 The rationals are the degree-1 field Q[x]/(x); `QQ` below is the shared
 instance.
 """
@@ -32,6 +44,7 @@ from math import isqrt
 from typing import Iterable, Sequence
 
 from hyplat.algebra import polynomials as P
+from hyplat.algebra.arith import is_prime
 from hyplat.errors import DivisionByZero, FieldMismatch, NotTotallyReal
 
 __all__ = [
@@ -45,7 +58,19 @@ __all__ = [
     "is_algebraic_integer",
     "is_square",
     "rational_square_root",
+    "square_class",
+    "class_times",
+    "RESIDUE_PLACES",
 ]
+
+RESIDUE_PLACES = 24
+"""How many degree-1 primes a field of degree > 1 keeps for residue characters."""
+
+# A square class: (odd, known), two bitmasks over the places of a field.  Bit
+# j < n (n real places) is the real place j, always known; bit n + k is the
+# k-th residue place, known when the element is a unit there.  `odd` is the
+# set of known places where the element is negative or a nonresidue.
+SquareClass = tuple[int, int]
 
 
 class NumberField:
@@ -100,6 +125,7 @@ class NumberField:
         self.chosen_embedding: int = embedding % len(self.real_roots)
         self._coeffs: list[int] = [int(c) for c in f]
         self._trace_inv: list[list[Fraction]] | None = None
+        self._places: list[tuple[int, int, bytes]] | None = None
         # Elements are immutable, so one zero and one one serve every read.
         self.zero: FieldElement = self.from_fraction(0)
         self.one: FieldElement = self.from_fraction(1)
@@ -188,6 +214,27 @@ class NumberField:
             )
             self._trace_inv = [row[d:] for row in red]
         return self._trace_inv
+
+    def _residue_places(self) -> list[tuple[int, int, bytes]]:
+        """The first `RESIDUE_PLACES` primes (p, t - r), p odd and f(r) = 0 !=
+        f'(r) mod p, by increasing p and r, each with its table of
+        nonresidues mod p."""
+        if self._places is None:
+            f = self._coeffs
+            df = [k * c for k, c in enumerate(f)][1:]
+            places, p = [], 1
+            while len(places) < RESIDUE_PLACES:
+                p += 2
+                if not is_prime(p):
+                    continue
+                nonres = bytearray([1]) * p
+                nonres[0] = 0
+                for x in range(1, p):
+                    nonres[x * x % p] = 0
+                places += [(p, r, bytes(nonres)) for r in range(p)
+                           if not _eval_mod(f, r, p) and _eval_mod(df, r, p)]
+            self._places = places[:RESIDUE_PLACES]
+        return self._places
 
 
 @lru_cache(maxsize=64)
@@ -286,20 +333,30 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """1/a over the integers: with A = q*a integral, the coordinates x of
+        1/a solve M x = q*e_0 for the integer matrix M of y -> A*y, which
+        fraction-free (Bareiss) Gauss-Jordan elimination solves exactly: every
+        division is exact and it ends with M = det*I, the right side det*x."""
         if not self:
             raise DivisionByZero("inverse of zero")
-        # Extended Euclid: u*g + v*f = 1 with g this element's representative.
-        g = P.poly(self.coords)
-        f = self.field.poly
-        r0, r1 = f, g
-        s0, s1 = P.poly([]), P.poly([1])
-        while P.degree(r1) > 0:
-            q, r = P.poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, P.poly_sub(s0, P.poly_mul(q, s1))
-        # r1 is a nonzero constant (f irreducible, g nonzero of lower degree).
-        c = r1[0]
-        return self.field.element(P.poly_scale(s1, 1 / c))
+        K = self.field
+        A, q = P.integer_numerators(self.coords)
+        d = K.degree
+        rows = [row + [q if i == 0 else 0]
+                for i, row in enumerate(_multiplication_rows(A, K._coeffs, d))]
+        prev = 1
+        for k in range(d):
+            if not rows[k][k]:  # M is invertible, so some row below has a pivot
+                s = next(i for i in range(k + 1, d) if rows[i][k])
+                rows[k], rows[s] = rows[s], rows[k]
+            pivot_row = rows[k]
+            pivot = pivot_row[k]
+            for i in range(d):
+                c = rows[i][k]
+                if i != k:
+                    rows[i] = [(pivot * x - c * y) // prev for x, y in zip(rows[i], pivot_row)]
+            prev = pivot
+        return FieldElement(K, tuple(Fraction(row[d], row[k]) for k, row in enumerate(rows)))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -399,20 +456,24 @@ def float_at_embedding(a: FieldElement, j: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def multiplication_matrix(a: FieldElement) -> list[list[Fraction]]:
-    """Matrix of y -> a*y over the power basis (columns = images of t^i).
+def _multiplication_rows(a: Sequence, f: Sequence[int], d: int) -> list[list]:
+    """Matrix of y -> a*y over the power basis, for coordinates a, as rows.
 
-    Column i+1 is t times column i: shift the coordinates up one degree and
-    reduce t^d by the monic defining polynomial.
+    Its columns are the images of t^0, ..., t^(d-1): column i+1 is t times
+    column i, the coordinates shifted up one degree and t^d reduced by the
+    monic defining polynomial f (ascending coefficients).
     """
-    f = a.field.poly
-    d = a.field.degree
-    cols = [list(a.coords)]
+    cols = [list(a)]
     for _ in range(d - 1):
         prev = cols[-1]
         top = prev[-1]
         cols.append([-top * f[0]] + [prev[k - 1] - top * f[k] for k in range(1, d)])
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    return [[col[i] for col in cols] for i in range(d)]
+
+
+def multiplication_matrix(a: FieldElement) -> list[list[Fraction]]:
+    """Matrix of y -> a*y over the power basis (columns = images of t^i)."""
+    return _multiplication_rows(a.coords, a.field._coeffs, a.field.degree)
 
 
 def is_algebraic_integer(a: FieldElement) -> bool:
@@ -509,6 +570,8 @@ def is_square(a: FieldElement) -> FieldElement | None:
             return K.from_fraction(r)
         # A rational non-square may still be a square in K; fall through.
     A, q = P.integer_numerators(a.coords)  # A = q*a
+    if _residues(K, A, q)[0]:
+        return None  # a nonresidue at a degree-1 prime
     terms, p = _trace_terms(K, [c * q for c in A])
     inverse = K._trace_inverse()
     for mask in range(1 << (d - 1)):
@@ -525,6 +588,48 @@ def is_square(a: FieldElement) -> FieldElement | None:
             if root * root == a:
                 return root
     return None
+
+
+def _eval_mod(f: Sequence[int], r: int, p: int) -> int:
+    """f(r) mod p for integer coefficients f, ascending."""
+    v = 0
+    for c in reversed(f):
+        v = (v * r + c) % p
+    return v
+
+
+def _residues(K: NumberField, A: Sequence[int], q: int) -> SquareClass:
+    """(odd, known) of a = A/q over K's residue places, place k at bit k:
+    w = A(r)*q mod p, which has the character of A(r)/q, is nonzero exactly
+    when p divides neither q nor A(r); the place is then known, and odd when
+    w is a nonresidue."""
+    odd = known = 0
+    for k, (p, r, nonres) in enumerate(K._residue_places()):
+        w = _eval_mod(A, r, p) * q % p
+        if w:
+            known |= 1 << k
+            if nonres[w]:
+                odd |= 1 << k
+    return odd, known
+
+
+def square_class(a: FieldElement) -> SquareClass:
+    """The square class of a nonzero `a`: its sign at every real place and its
+    residue characters (see the module docstring).  A nonzero `odd` proves
+    that `a` is no square."""
+    if not a:
+        raise ValueError("0 has no square class")
+    K = a.field
+    n = K.n_real_embeddings
+    odd = sum(1 << j for j in range(n) if sign_at_embedding(a, j) < 0)
+    r_odd, r_known = _residues(K, *P.integer_numerators(a.coords))
+    return odd | r_odd << n, ((1 << n) - 1) | r_known << n
+
+
+def class_times(x: SquareClass, y: SquareClass) -> SquareClass:
+    """The class of a product (or a quotient): XOR on the places both know."""
+    known = x[1] & y[1]
+    return (x[0] ^ y[0]) & known, known
 
 
 # ---------------------------------------------------------------------------

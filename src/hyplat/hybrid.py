@@ -28,6 +28,8 @@ from typing import Iterable, Sequence
 from hyplat.algebra.numberfield import (
     FieldElement,
     NumberField,
+    SquareClass,
+    class_times,
     is_square,
     sign_at_embedding,
 )
@@ -182,13 +184,16 @@ class BlockComplex:
 class GlueMap:
     """The transport map Phi(y0, y) = (sqrt(ratio) * y0, y) between blocks."""
 
-    def __init__(self, field: NumberField, ratio: FieldElement, ambient_dim: int):
+    def __init__(self, field: NumberField, ratio: FieldElement, ambient_dim: int,
+                 ratio_class: SquareClass | None = None):
         self.field = field
         self.ratio = field.coerce(ratio)
         if not self.ratio:
             raise ValueError("gluing ratio must be nonzero")
         self.ambient_dim = ambient_dim
-        self.ratio_sqrt = is_square(self.ratio)
+        # A ratio whose square class (when known) is odd somewhere is no square.
+        refuted = ratio_class is not None and ratio_class[0]
+        self.ratio_sqrt = None if refuted else is_square(self.ratio)
 
     @classmethod
     def from_blocks(cls, b1: BuildingBlock, b2: BuildingBlock) -> "GlueMap":
@@ -199,7 +204,10 @@ class GlueMap:
                 f"blocks {b1.label!r} and {b2.label!r} do not share the same "
                 "hypersurface form"
             )
-        return cls(b1.field, b2.alpha / b1.alpha, b1.dim)
+        # alpha leads each ambient diagonal, so its class leads the classes.
+        c1, c2 = b1.ambient.square_classes(), b2.ambient.square_classes()
+        ratio_class = None if c1 is None else class_times(c1[0], c2[0])
+        return cls(b1.field, b2.alpha / b1.alpha, b1.dim, ratio_class)
 
     @property
     def ratio_is_square(self) -> bool:

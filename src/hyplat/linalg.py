@@ -49,9 +49,14 @@ def vec(field, entries: Iterable) -> Vector:
 
 
 def _dot(u: Vector, v: Vector):
+    """sum u_i v_i over the terms where neither factor is zero (None for
+    empty vectors)."""
     acc = None
     for a, b in zip(u, v):
-        acc = a * b if acc is None else acc + a * b
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+    if acc is None and u:
+        return u[0].field.zero
     return acc
 
 

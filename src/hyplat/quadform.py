@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from hyplat.algebra.arith import (
     factorize,
@@ -26,8 +26,10 @@ from hyplat.algebra.numberfield import (
     FieldElement,
     NumberField,
     QQ,
+    class_times,
     is_square,
     sign_at_embedding,
+    square_class,
 )
 from hyplat.linalg import (
     Matrix,
@@ -44,6 +46,7 @@ from hyplat.errors import (
     FieldMismatch,
     NotAdmissible,
     NotSymmetric,
+    NotTotallyReal,
     ParseError,
 )
 
@@ -93,7 +96,11 @@ class QuadraticSpace:
     exactly.  Degeneracy (some D entry is 0), the discriminant, the
     signatures at every embedding and the diagonal entries are all read
     from D.  G is immutable, so D is found once, by one elimination at
-    construction, or carried over by `scale` and `direct_sum`.
+    construction, or carried over by `scale` and `direct_sum`.  Over a
+    field of degree > 1 the same holds for the square classes of D's
+    entries (`square_classes`), which give the signatures and the square
+    tests of `similar`: `direct_sum` concatenates its parts' classes and
+    `scale` multiplies them by the scalar's class.
     """
 
     def __init__(self, field: NumberField, gram: Matrix, allow_degenerate: bool = False):
@@ -106,7 +113,7 @@ class QuadraticSpace:
         self._set(field, gram, symmetric_diagonalize(gram)[0], allow_degenerate)
 
     def _set(self, field: NumberField, gram: Matrix, D: list[FieldElement],
-             allow_degenerate: bool) -> None:
+             allow_degenerate: bool, classes: list | None = None) -> None:
         self.field = field
         self.gram = gram
         self._diagonal = D
@@ -114,6 +121,15 @@ class QuadraticSpace:
         if self.is_degenerate and not allow_degenerate:
             raise DegenerateRestriction("Gram matrix is singular")
         self._profile: tuple[tuple[int, int, int], ...] | None = None
+        self._classes = classes
+
+    def square_classes(self) -> list | None:
+        """The square class of each diagonal entry, None for a zero entry;
+        None over Q, whose classes come from factorizations instead."""
+        if self._classes is None and isinstance(self.field, NumberField) \
+                and self.field.degree > 1:
+            self._classes = [square_class(d) if d else None for d in self._diagonal]
+        return self._classes
 
     @classmethod
     def diagonal(cls, field: NumberField, entries: Sequence, **kw) -> "QuadraticSpace":
@@ -124,14 +140,22 @@ class QuadraticSpace:
         return self.gram.nrows
 
     def inner_product(self, u: Sequence, v: Sequence) -> FieldElement:
+        """u^t G v, from G v formed once; zero entries take no product."""
         uu = vec(self.field, u)
         vv = vec(self.field, v)
         if len(uu) != self.dim or len(vv) != self.dim:
             raise DimensionMismatch("vector length does not match the space")
-        return sum(
-            (uu[i] * self.gram[i, j] * vv[j] for i in range(self.dim) for j in range(self.dim)),
-            self.field.zero,
-        )
+        support = [(j, y) for j, y in enumerate(vv) if y]
+        out = self.field.zero
+        for x, row in zip(uu, self.gram.rows):
+            if x:
+                gv = self.field.zero
+                for j, y in support:
+                    if row[j]:
+                        gv = gv + row[j] * y
+                if gv:
+                    out = out + x * gv
+        return out
 
     def evaluate(self, v: Sequence) -> FieldElement:
         return self.inner_product(v, v)
@@ -149,14 +173,26 @@ class QuadraticSpace:
         elimination: for lam != 0, eliminating lam*G would take the same
         pivots and the same ratios as eliminating G."""
         lam = self.field.coerce(lam)
+        classes = None
+        if self._classes is not None and lam:
+            c = square_class(lam)
+            classes = [x and class_times(c, x) for x in self._classes]
         space = QuadraticSpace.__new__(QuadraticSpace)
         space._set(self.field, self.gram * lam, [lam * d for d in self._diagonal],
-                   self.is_degenerate)
+                   self.is_degenerate, classes)
         return space
 
     def signature(self, j: int | None = None) -> tuple[int, int, int]:
         if self._profile is None:
-            self._profile = diagonal_signature_profile(self.field, self._diagonal)
+            classes = self.square_classes()
+            if classes is not None:
+                # Entry signs are the real-place bits of the square classes.
+                zero = classes.count(None)
+                negative = [sum(1 for c in classes if c and c[0] >> k & 1)
+                            for k in range(self.field.n_real_embeddings)]
+                self._profile = tuple((self.dim - m - zero, m, zero) for m in negative)
+            else:
+                self._profile = diagonal_signature_profile(self.field, self._diagonal)
         return self._profile[self.field.chosen_embedding if j is None else j]
 
     def diagonal_entries(self) -> list[FieldElement]:
@@ -169,7 +205,8 @@ class QuadraticSpace:
 def direct_sum(a: QuadraticSpace, b: QuadraticSpace) -> QuadraticSpace:
     """a + b on the block-diagonal Gram matrix, diagonalized by D_a + D_b
     with no new elimination: that is a diagonalization, since the blocks
-    do not interact."""
+    do not interact.  The square classes are the parts' classes, found once
+    per part, so a form shared by many sums is classified once."""
     if a.field != b.field:
         raise FieldMismatch("direct sum over different fields")
     n, m = a.dim, b.dim
@@ -179,9 +216,12 @@ def direct_sum(a: QuadraticSpace, b: QuadraticSpace) -> QuadraticSpace:
         rows.append(list(a.gram.rows[i]) + [field.zero] * m)
     for i in range(m):
         rows.append([field.zero] * n + list(b.gram.rows[i]))
+    classes = a.square_classes()
+    if classes is not None:
+        classes = classes + b.square_classes()
     space = QuadraticSpace.__new__(QuadraticSpace)
     space._set(field, Matrix(field, rows), a._diagonal + b._diagonal,
-               a.is_degenerate or b.is_degenerate)
+               a.is_degenerate or b.is_degenerate, classes)
     return space
 
 
@@ -554,18 +594,16 @@ def _is_local_square(c: int, p: int) -> bool:
     return legendre(u, p) == 1
 
 
-def _match_diagonals_by_squares(
-    d1: list[FieldElement], d2: list[FieldElement]
-) -> bool:
-    """Backtracking perfect matching with edges 'ratio is a square', equal entries one."""
-    m = len(d1)
+def _perfect_matching(m: int, edge) -> bool:
+    """Backtracking perfect matching of rows 0..m-1 to columns 0..m-1, with
+    the edges tried in row-major order."""
     used = [False] * m
 
     def extend(i: int) -> bool:
         if i == m:
             return True
         for j in range(m):
-            if not used[j] and (d1[i] == d2[j] or is_square(d1[i] * d2[j]) is not None):
+            if not used[j] and edge(i, j):
                 used[j] = True
                 if extend(i + 1):
                     return True
@@ -575,70 +613,96 @@ def _match_diagonals_by_squares(
     return extend(0)
 
 
+def _compatible(x, y) -> bool:
+    """Can x*y be a square, as far as the classes x and y show?"""
+    return not (x[0] ^ y[0]) & x[1] & y[1]
+
+
 def _similar_over_K(q1: QuadraticSpace, q2: QuadraticSpace) -> SimilarityVerdict:
     K = q1.field
     m = q1.dim
     # (ii) per-embedding signature profiles must match up to a global flip
-    # with a consistent sign pattern for lambda.
-    flips: list[set[int]] = []
+    # with a consistent sign pattern for lambda: lambda must be positive at
+    # the embeddings in `pos` and negative at those in `neg`.
+    pos = neg = 0
     for j in range(K.n_real_embeddings):
         s1, s2 = q1.signature(j), q2.signature(j)
-        allowed = set()
-        if s1 == s2:
-            allowed.add(1)
-        if (s1[1], s1[0], s1[2]) == s2:
-            allowed.add(-1)
-        if not allowed:
+        plus, minus = s1 == s2, (s1[1], s1[0], s1[2]) == s2
+        if not (plus or minus):
             return SimilarityVerdict(
                 NOT_SIMILAR, None,
                 f"signatures at embedding {j} are {s1} vs {s2}: no scalar sign works",
             )
-        flips.append(allowed)
+        pos |= (not minus) << j
+        neg |= (not plus) << j
+    if not K.is_totally_real:
+        raise NotTotallyReal(f"squares are decided over totally real fields only, not {K}")
+    # Every square test below first asks the square classes, which refute
+    # most non-squares without forming a product; only a product whose class
+    # is compatible reaches the exact `is_square`.
     diag1, diag2 = q1.diagonal_entries(), q2.diagonal_entries()
+    c1, c2 = q1.square_classes(), q2.square_classes()
     if m % 2 == 0:
         # det G = prod(D) for each space (see QuadraticSpace): no elimination.
         # Equal entries pair off first: a pair x, x is the nonzero square x^2.
-        odd: list[FieldElement] = []
-        for x in diag1 + diag2:
-            if x in odd:
-                odd.remove(x)
+        entries, classes = diag1 + diag2, c1 + c2
+        odd: list[int] = []
+        for k, x in enumerate(entries):
+            i = next((i for i in odd if entries[i] == x), None)
+            if i is None:
+                odd.append(k)
             else:
-                odd.append(x)
-        dets = prod(odd[1:], start=odd[0]) if odd else K.one
-        if is_square(dets) is None:
+                odd.remove(i)
+        disc = (0, -1)
+        for k in odd:
+            disc = class_times(disc, classes[k])
+        rest = [entries[k] for k in odd]
+        if rest and (disc[0] or is_square(prod(rest[1:], start=rest[0])) is None):
             return SimilarityVerdict(
                 NOT_SIMILAR, None,
                 "discriminant classes differ (even dimension), no scalar "
                 "changes the discriminant class",
             )
     # Sufficient branch: try scalar candidates built from diagonal entry
-    # ratios (plus 1), certifying via entrywise square matching.  They are
-    # made one at a time, with one inverse per a, and the first verified
+    # ratios (plus 1), certifying via entrywise square matching.  A candidate
+    # b_j/a_i has the class of b_j times a_i; its signs must fit the pattern
+    # above and its classes must admit a perfect matching before a_i is
+    # inverted (once per i) and the candidate formed.  The first verified
     # one is the witness.
-
-    def candidates() -> Iterator[FieldElement]:
-        yield K.one
-        for a in diag1:
-            inv = a.inverse()
-            for b in diag2:
-                yield b * inv
-
+    signs = (1 << K.n_real_embeddings) - 1
+    inverses: dict[int, FieldElement] = {}
     seen: list[FieldElement] = []
-    for lam in candidates():
-        if not lam or any(lam == s for s in seen):
+    for i, j in [(-1, -1)] + [(i, j) for i in range(m) for j in range(m)]:
+        lam_class = (0, -1) if i < 0 else class_times(c2[j], c1[i])
+        sign = lam_class[0] & signs
+        if sign & pos or ~sign & neg:
+            continue
+        scaled_classes = [class_times(lam_class, c) for c in c1]
+        if not _perfect_matching(m, lambda k, l: _compatible(scaled_classes[k], c2[l])):
+            continue
+        if i < 0:
+            lam = K.one
+        else:
+            if i not in inverses:
+                inverses[i] = diag1[i].inverse()
+            lam = diag2[j] * inverses[i]
+        if any(lam == s for s in seen):
             continue
         seen.append(lam)
-        if all(
-            (1 if sign_at_embedding(lam, j) > 0 else -1) in flips[j]
-            for j in range(K.n_real_embeddings)
-        ):
-            scaled = diag1 if lam == 1 else [lam * d for d in diag1]
-            if _match_diagonals_by_squares(scaled, diag2):
-                return SimilarityVerdict(
-                    SIMILAR, lam,
-                    "scalar verified by entrywise square-class matching of "
-                    "diagonalizations",
-                )
+        scaled = diag1 if lam == 1 else [lam * d for d in diag1]
+
+        def edge(k: int, l: int) -> bool:
+            # Equal entries make the nonzero square x^2 without a test.
+            return scaled[k] == diag2[l] or (
+                _compatible(scaled_classes[k], c2[l])
+                and is_square(scaled[k] * diag2[l]) is not None)
+
+        if _perfect_matching(m, edge):
+            return SimilarityVerdict(
+                SIMILAR, lam,
+                "scalar verified by entrywise square-class matching of "
+                "diagonalizations",
+            )
     return SimilarityVerdict(
         UNKNOWN, None,
         "no invariant obstruction found and no verified scalar witness; "
@@ -706,13 +770,16 @@ def _map_into(q2: QuadraticSpace, K1: NumberField) -> QuadraticSpace:
     if theta is None:
         raise CertificateError(f"{K2} has no image in {K1} at its chosen place")
 
+    # e = c0 + c1*t maps to c0 + c1*theta: a rational combination of the
+    # coordinates of 1 and theta, with no product in K1.
+    powers = (K1.one.coords, theta.coords)
+
     def convert(e: FieldElement) -> FieldElement:
-        acc = K1.zero
-        power = K1.one
-        for c in e.coords:
-            acc = acc + power * c
-            power = power * theta
-        return acc
+        acc = [Fraction(0)] * K1.degree
+        for c, power in zip(e.coords, powers):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, power)]
+        return FieldElement(K1, tuple(acc))
 
     return QuadraticSpace(K1, Matrix(K1, [[convert(e) for e in row] for row in q2.gram.rows]))
 

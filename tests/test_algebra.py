@@ -19,9 +19,11 @@ from hyplat.algebra.numberfield import (
     float_at_embedding,
     is_algebraic_integer,
     is_square,
+    class_times,
     multiplication_matrix,
     rational_square_root,
     sign_at_embedding,
+    square_class,
 )
 from hyplat.algebra.quadratic_ext import QuadraticExt
 from hyplat.coxeter import entry_field
@@ -573,3 +575,118 @@ def test_float_at_embedding_rounds_correctly_fresh_or_refined(a):
 def test_rational_square_root_exact(q):
     sq = q * q
     assert rational_square_root(sq) == q
+
+
+# ---------------------------------------------------------------------------
+# The integer inverse against extended Euclid
+# ---------------------------------------------------------------------------
+
+
+def _euclid_inverse(a):
+    """1/a by extended Euclid over the rationals: u*g + v*f = 1."""
+    g, f = P.poly(a.coords), a.field.poly
+    r0, r1 = f, g
+    s0, s1 = P.poly([]), P.poly([1])
+    while P.degree(r1) > 0:
+        q, r = P.poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, P.poly_sub(s0, P.poly_mul(q, s1))
+    return a.field.element(P.poly_scale(s1, 1 / r1[0]))
+
+
+# Degrees 2, 3, 4 and 8 (the entry field).
+INVERSE_FIELDS = [NumberField([-2, 0, 1]), NumberField([1, -3, 0, 1]),
+                  NumberField([9, 0, -14, 0, 1]), entry_field()]
+
+
+@st.composite
+def _inverse_pairs(draw):
+    K = draw(st.sampled_from(INVERSE_FIELDS))
+    coords = st.lists(st.fractions(-10**12, 10**12, max_denominator=10**6),
+                      min_size=K.degree, max_size=K.degree).filter(any)
+    return K.element(draw(coords)), K.element(draw(coords))
+
+
+@given(_inverse_pairs())
+@example((INVERSE_FIELDS[0].gen, INVERSE_FIELDS[0].one))  # a zero first pivot
+@example((entry_field().gen, entry_field().from_fraction(F(-3, 7))))
+@settings(max_examples=60, deadline=None)
+def test_inverse_and_division_match_extended_euclid(pair):
+    a, b = pair
+    inverse = _euclid_inverse(a)
+    assert a.inverse() == inverse
+    assert b / a == b * inverse
+
+
+# ---------------------------------------------------------------------------
+# Square classes: signs and residue characters at degree-1 primes
+# ---------------------------------------------------------------------------
+
+# Q(sqrt 2), x^3 - 3x + 1, Q(sqrt 2, sqrt 5) and x^2 - 45, whose generator
+# 3*sqrt 5 makes Z[t] non-maximal at 3: there x^2 - 45 = x^2 mod 3 has the
+# double root 0, at which the square 5 = (t/3)^2 would read as 2, a
+# nonresidue mod 3.
+CLASS_FIELDS = [NumberField([-2, 0, 1]), NumberField([1, -3, 0, 1]),
+                NumberField([9, 0, -14, 0, 1]), NumberField([-45, 0, 1])]
+K45 = CLASS_FIELDS[3]
+
+
+@st.composite
+def _class_cases(draw):
+    K = draw(st.sampled_from(CLASS_FIELDS))
+    coords = st.lists(st.fractions(-30, 30, max_denominator=12),
+                      min_size=K.degree, max_size=K.degree).filter(any)
+    return K.element(draw(coords)), K.element(draw(coords))
+
+
+@given(_class_cases())
+@example((K45.one, K45.gen / 3))
+@example((K45.from_fraction(2), K45.gen / 3 + 1))
+@settings(max_examples=80, deadline=None)
+def test_scaling_by_a_square_keeps_the_class(case):
+    c, b = case
+    x, y = square_class(c), square_class(c * b * b)
+    n = c.field.n_real_embeddings
+    assert x[1] & y[1] & ((1 << n) - 1) == (1 << n) - 1  # signs are always known
+    assert (x[0] ^ y[0]) & x[1] & y[1] == 0
+    assert class_times(x, y)[0] == 0
+
+
+@given(_class_cases())
+@settings(max_examples=60, deadline=None)
+def test_class_of_a_product_is_the_xor(case):
+    a, b = case
+    got, fresh = class_times(square_class(a), square_class(b)), square_class(a * b)
+    assert (got[0] ^ fresh[0]) & got[1] & fresh[1] == 0
+    assert got[1] & ~fresh[1] == 0  # a product of units is a unit
+
+
+def test_residue_places_are_simple_roots():
+    # x^2 - 45 has double roots mod 3 and mod 5: neither prime gives a place.
+    places = K45._residue_places()
+    assert len(places) == 24
+    assert not {3, 5} & {p for p, _, _ in places}
+    assert all((r * r - 45) % p == 0 != 2 * r % p for p, r, _ in places)
+    five = K45.from_fraction(5)
+    assert is_square(five) == K45.gen / 3
+    assert square_class(five)[0] == 0
+    # 3 is no square in Q(sqrt 2): 3 is a nonresidue mod 7, where t -> 3.
+    K2 = CLASS_FIELDS[0]
+    assert square_class(K2.from_fraction(3))[0] >> K2.degree & 1
+
+
+@given(_class_cases())
+@example((CLASS_FIELDS[1].from_fraction(3), CLASS_FIELDS[1].gen + 2))
+@settings(max_examples=60, deadline=None)
+def test_is_square_answers_alike_without_residue_places(case):
+    a, b = case
+    K = a.field
+    elements = (a, a * a, a * b * b, b * b + 1)
+    with_places = [is_square(x) for x in elements]
+    places = K._residue_places()
+    try:
+        K._places = []  # no residue test: signs, then enclosures
+        without = [is_square(x) for x in elements]
+    finally:
+        K._places = places
+    assert with_places == without

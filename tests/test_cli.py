@@ -439,6 +439,72 @@ class TestHybridCommands:
         assert counts == {"det": 0, "solve": 0}
         assert sizes == [4, 3]  # the form at parse time, then its restriction to Z
 
+    def test_angle_skips_zero_products(self, capsys, monkeypatch):
+        # hybrid_angle/cubic_full_gram: G v is formed once per inner product,
+        # and outside the eliminations (rref and the congruence
+        # diagonalization) no product has a zero factor (155 products in all
+        # before that).
+        import hyplat.linalg
+        import hyplat.quadform
+        from hyplat.algebra.numberfield import FieldElement
+
+        products, inside = [], []
+        mul, diagonalize = FieldElement.__mul__, hyplat.linalg.symmetric_diagonalize
+        rref = hyplat.linalg.Matrix.rref
+
+        def counting_mul(a, b):
+            products.append(bool(inside) or bool(a and b))
+            return mul(a, b)
+
+        def marking(method):
+            def wrapper(*args):
+                inside.append(method)
+                try:
+                    return method(*args)
+                finally:
+                    inside.pop()
+            return wrapper
+
+        monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+        monkeypatch.setattr(FieldElement, "__rmul__", counting_mul)
+        monkeypatch.setattr(hyplat.linalg.Matrix, "rref", marking(rref))
+        for module in (hyplat.linalg, hyplat.quadform):
+            monkeypatch.setattr(module, "symmetric_diagonalize", marking(diagonalize))
+        code, out, _ = run(capsys, "hybrid", "angle", str(GOLDEN_INPUTS / "cubic_gram.form"),
+                           "--e", "1,0,t,0", "--z", "0,1,0,0;0,0,1,t")
+        assert code == 0
+        assert out == ("angle value (cos^2): 197976/615203 + 54512/615203*t"
+                       " + 107969/615203*t^2\n")
+        assert len(products) == 85
+        assert all(products)
+
+    def test_verify_refutes_a_nonsquare_ratio_by_a_residue(self, capsys, monkeypatch):
+        # sqrt2_gps_nonsquare glues alpha = 1 to alpha = 3 over Q(sqrt 2): 3
+        # is a nonresidue mod 7, where t -> 3, so neither the ratio nor the
+        # discriminant reaches the enclosures of is_square.  The shared
+        # entry -1+t gets its sign at each of the two real places once.
+        from hyplat.algebra import numberfield
+
+        trace_terms, signs = [], []
+        terms, sign = numberfield._trace_terms, numberfield.sign_at_embedding
+
+        def counting_terms(K, A):
+            trace_terms.append(A)
+            return terms(K, A)
+
+        def counting_sign(a, j=None):
+            signs.append((a.coords, j))
+            return sign(a, j)
+
+        monkeypatch.setattr(numberfield, "_trace_terms", counting_terms)
+        monkeypatch.setattr(numberfield, "sign_at_embedding", counting_sign)
+        code, out, _ = run(capsys, "hybrid", "verify",
+                           str(GOLDEN_INPUTS / "sqrt2_gps_nonsquare.cpx"))
+        assert code == 0
+        assert "HypothesesMet" in out and "ratio 3 (nonsquare" in out
+        assert trace_terms == []
+        assert sorted(j for coords, j in signs if coords == (-1, 1)) == [0, 1]
+
     def test_angle_dimension_mismatch(self, capsys):
         code, _, err = run(
             capsys,

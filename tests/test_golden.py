@@ -7,7 +7,11 @@ non-simplex with splitting candidates); ``hybrid verify``, ``hybrid angle``,
 ``form check`` and ``form commensurable`` on the complexes and forms in
 ``tests/golden/inputs/`` over Q(sqrt 2), Q(sqrt 5), x^3 - 3x + 1 and
 x^4 - 14x^2 + 9, and ``form commensurable`` on inline diagonal forms over
-Q; and ``links compose`` on an inline sum and on a script.
+Q; and ``links compose`` on an inline sum and on a script.  Among them: two
+``form commensurable`` pairs whose witness lambda != 1 comes after an
+earlier candidate fails, an odd-dimension ``hybrid verify`` similar by
+lambda = 3, and ``hybrid angle`` on full Gram matrices with zero
+coordinates in e and in Z.
 Any change to a verdict, a certificate or the report layout shows up here
 as a diff.  The ``coxeter analyze`` reports are also compared in process
 with ``MultiquadraticField.galois_action`` disabled: cycle fields come from
@@ -47,6 +51,8 @@ FORM_PAIRS = {
     "cubic_discriminant": ("cubic_a", "cubic_c"),
     "quartic_scaled": ("quartic_a", "quartic_b"),
     "quartic_discriminant": ("quartic_a", "quartic_c"),
+    "cubic_late_witness": ("cubic_late_a", "cubic_late_b"),
+    "quartic_late_witness": ("quartic_late_a", "quartic_late_b"),
 }
 # form commensurable over Q: golden name -> (left, right) inline diagonal forms.
 # The big_scaled pairs carry entries that are products of two primes in
@@ -72,6 +78,8 @@ ANGLES = {
     "cubic_hyperplane": ("cubic_a", "t,1,0,1", "1,0,0,0;0,1,0,0;0,0,1,0"),
     "quartic_plane": ("quartic_a", "1,0,0,1", "1,0,0,0;0,1,0,0"),
     "quartic_hyperplane": ("quartic_a", "t,1,0,1", "1,0,0,0;0,1,0,0;0,0,1,0"),
+    "cubic_full_gram": ("cubic_gram", "1,0,t,0", "0,1,0,0;0,0,1,t"),
+    "sqrt2_full_gram": ("sqrt2_gram", "0,1,0,t", "1,0,0,0;0,0,1,1"),
 }
 CATALOG = sorted(p.stem for p in INPUTS.glob("*.cox"))
 # links compose: golden name -> inline sum or script file
@@ -134,6 +142,7 @@ def test_coxeter_catalog_report_matches_golden(diagram, tmp_path, monkeypatch, c
 
 def test_every_golden_input_is_used():
     used = {a for pair in FORM_PAIRS.values() for a in pair}
+    used |= {form for form, _, _ in ANGLES.values()}
     assert used == {p.stem for p in INPUTS.glob("*.form")}
     arguments = {a for argv in CASES.values() for a in argv}
     assert {p.name for p in INPUTS.glob("*.*") if p.suffix != ".form"} <= arguments

@@ -673,6 +673,35 @@ def test_repeated_entries_cancel_like_the_eager_search(K, tail):
     assert (got.status, got.lambda_witness, got.reason) == _eager_similar_over_K(q1, q2)
 
 
+@st.composite
+def _class_spaces(draw):
+    """Two diagonal spaces over a field of degree > 1 and a nonzero scalar."""
+    K = draw(st.sampled_from(SIMILARITY_FIELDS))
+    nonzero = st.lists(SMALL, min_size=K.degree, max_size=K.degree).map(K.element).filter(bool)
+    a, b = (QuadraticSpace.diagonal(K, draw(st.lists(nonzero, min_size=1, max_size=3)))
+            for _ in "ab")
+    return a, b, draw(nonzero)
+
+
+@given(_class_spaces())
+@settings(max_examples=60, deadline=None)
+def test_carried_square_classes_match_fresh_ones(case):
+    a, b, lam = case
+    K = a.field
+    total = direct_sum(a, b)
+    fresh = QuadraticSpace.diagonal(K, total.diagonal_entries())
+    assert total.square_classes() == fresh.square_classes()
+    assert total.square_classes() == a.square_classes() + b.square_classes()
+    scaled = a.scale(lam)  # a's classes are known, so lam's class is XORed in
+    refound = QuadraticSpace.diagonal(K, scaled.diagonal_entries()).square_classes()
+    signs = (1 << K.n_real_embeddings) - 1
+    for carried, found in zip(scaled.square_classes(), refound):
+        assert carried[0] & signs == found[0] & signs  # every sign is known
+        assert (carried[0] ^ found[0]) & carried[1] & found[1] == 0
+    assert [scaled.signature(j) for j in range(K.n_real_embeddings)] == [
+        QuadraticSpace(K, scaled.gram).signature(j) for j in range(K.n_real_embeddings)]
+
+
 # ---------------------------------------------------------------------------
 # Square classes against the factor-everything search over Q
 # ---------------------------------------------------------------------------
